@@ -7,9 +7,10 @@
 //! `--quick` shrinks instances for a fast smoke run; the default is the
 //! paper-scale configuration recorded in EXPERIMENTS.md.
 //!
-//! `--metrics-dir DIR` turns metric/span capture on and writes one
-//! `BENCH_<experiment>.json` snapshot (counters, histograms, per-phase
-//! timings) per experiment into `DIR`, next to the printed tables.
+//! `--metrics-dir DIR` records each experiment under its own recorder
+//! and writes one `BENCH_<experiment>.json` snapshot (counters,
+//! histograms, per-phase timings) per experiment into `DIR`, next to the
+//! printed tables.
 
 use std::env;
 use std::path::PathBuf;
@@ -34,7 +35,6 @@ fn main() {
             eprintln!("error: cannot create metrics dir {}: {e}", dir.display());
             std::process::exit(1);
         }
-        sor_obs::set_enabled(true);
     }
 
     let show = |table: &sor_bench::Table| {
@@ -47,17 +47,18 @@ fn main() {
             }
         }
     };
-    // Run one experiment, bracketed by a metrics reset/snapshot so each
-    // BENCH_<id>.json contains exactly that experiment's counters and
-    // phase tree.
+    // Run one experiment under its own recorder (when metrics are
+    // wanted), so each BENCH_<id>.json contains exactly that
+    // experiment's counters and phase tree.
     let run = |id: &str| -> Option<sor_bench::Table> {
-        sor_obs::reset();
+        let rec = sor_obs::Recorder::new();
         let table = {
+            let _scope = metrics_dir.is_some().then(|| rec.install());
             let _span = sor_obs::span("bench/experiment");
             sor_bench::run_one(id, quick)?
         };
         if let Some(dir) = &metrics_dir {
-            let snap = sor_obs::snapshot();
+            let snap = rec.snapshot();
             let json = snap.to_json_with_meta(&[
                 ("experiment", id),
                 ("quick", if quick { "true" } else { "false" }),

@@ -5,7 +5,8 @@
 //! experiments E1/E2/E7/E8 plus micro-kernels over the library's hot
 //! paths (FRT tree build, MWU restricted solve, randomized rounding,
 //! scheduler step loop, the §5.3 deletion process, MCF solves, …) — each
-//! run under `sor-obs` capture, producing three kinds of data per bench:
+//! run under the suite's `sor_obs::Recorder`, producing three kinds of
+//! data per bench:
 //!
 //! * **work metrics** — counters, histograms, and span *call counts*
 //!   from the [`sor_obs::Snapshot`]. Deterministic under the fixed seeds
@@ -36,7 +37,7 @@ use sor_obs::snapshot::{
     diff, snapshot_from_value, Delta, DeltaKind, DiffPolicy, DiffStatus, SnapshotDiff,
     SPAN_PATH_SEP,
 };
-use sor_obs::{parse_json, JsonValue, Snapshot};
+use sor_obs::{parse_json, JsonValue, Recorder, Snapshot};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -54,7 +55,7 @@ pub struct PerfConfig {
     pub quick: bool,
     /// Timed trials per bench.
     pub trials: usize,
-    /// Untimed warmup runs per bench (capture off).
+    /// Untimed warmup runs per bench (no recorder installed).
     pub warmup: usize,
     /// Run only benches whose name contains this substring.
     pub filter: Option<String>,
@@ -270,12 +271,11 @@ fn robust_stats(samples: &[u64]) -> (u64, u64, u64, usize) {
     (med, sorted[0], mad(&sorted, med), sorted.len())
 }
 
-/// Execute one bench under the config: warmup (capture off), then timed
-/// trials bracketed by `reset` / `set_enabled`, each snapshotted.
-fn run_bench(name: &str, workload: BenchFn, cfg: &PerfConfig) -> BenchRun {
-    sor_obs::set_enabled(false);
+/// Execute one bench under the config: warmups without a recorder, then
+/// timed trials under the suite's recorder, reset before and
+/// snapshotted after each trial.
+fn run_bench(name: &str, workload: BenchFn, cfg: &PerfConfig, rec: &Recorder) -> BenchRun {
     for _ in 0..cfg.warmup {
-        sor_obs::reset();
         let _ = workload();
     }
     let trials = cfg.trials.max(1);
@@ -283,13 +283,14 @@ fn run_bench(name: &str, workload: BenchFn, cfg: &PerfConfig) -> BenchRun {
     let mut totals: Vec<u64> = Vec::with_capacity(trials);
     let mut quality: Vec<(String, f64)> = Vec::new();
     for t in 0..trials {
-        sor_obs::reset();
-        sor_obs::set_enabled(true);
+        rec.reset();
         let t0 = Instant::now();
-        let q = workload();
+        let q = {
+            let _scope = rec.install();
+            workload()
+        };
         let elapsed = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        sor_obs::set_enabled(false);
-        snaps.push(sor_obs::snapshot());
+        snaps.push(rec.snapshot());
         totals.push(elapsed);
         if t == 0 {
             quality = q;
@@ -348,7 +349,14 @@ fn run_bench(name: &str, workload: BenchFn, cfg: &PerfConfig) -> BenchRun {
 
 /// Run the whole suite (honoring `cfg.filter`), with a progress line per
 /// bench on stderr.
+///
+/// The suite run owns one recorder. Resetting it between trials zeroes
+/// values but keeps registered names, so a bench's snapshot also lists
+/// (at zero) the metrics earlier benches registered — and
+/// `kernel/telemetry_overhead`'s `telemetry/window_series`, the number
+/// of series its telemetry plane ticks, counts them too.
 pub fn run_suite(cfg: &PerfConfig) -> SuiteRun {
+    let rec = Recorder::new();
     let runs = BENCHES
         .iter()
         .filter(|(name, _)| {
@@ -358,7 +366,7 @@ pub fn run_suite(cfg: &PerfConfig) -> SuiteRun {
         })
         .map(|(name, workload)| {
             eprintln!("perf: running {name} ({} trials)", cfg.trials.max(1));
-            run_bench(name, *workload, cfg)
+            run_bench(name, *workload, cfg, &rec)
         })
         .collect();
     SuiteRun {

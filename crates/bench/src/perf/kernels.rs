@@ -731,8 +731,11 @@ pub fn telemetry_overhead() -> Quality {
     };
     let telemetry = std::sync::Arc::new(sor_serve::ServeTelemetry::new(slo));
     let t1 = Instant::now();
-    let instrumented =
-        sor_serve::run_workload_with_telemetry(&g, ecfg, &wcfg, Some(telemetry.clone()));
+    let observers = sor_serve::ServeObservers {
+        telemetry: Some(telemetry.clone()),
+        ..sor_serve::ServeObservers::default()
+    };
+    let instrumented = sor_serve::run_workload_with_observers(&g, ecfg, &wcfg, observers);
     let on_wall = t1.elapsed();
 
     let bits = |r: &WorkloadReport| -> Vec<u64> {

@@ -90,11 +90,13 @@ pub fn restricted_min_congestion(
         phases += 1;
         sor_obs::counter_add!("flow/restricted/phases");
         assert!(phases <= MAX_PHASES, "restricted-flow phase bound exceeded");
+        // counted per phase: the scan loop is too tight for a recorder call
+        let mut scans = 0u64;
         for &j in &active {
             let entry = &entries[j];
             let mut remaining = entry.demand;
             while remaining > 1e-15 {
-                sor_obs::counter_add!("flow/restricted/oracle_scans");
+                scans += 1;
                 // cheapest candidate under current lengths (total_cmp
                 // keeps this well-defined even for NaN lengths, and the
                 // nonempty-candidates assert above makes `best` valid)
@@ -124,6 +126,9 @@ pub fn restricted_min_congestion(
                 }
                 remaining -= f;
             }
+        }
+        if scans > 0 {
+            sor_obs::counter_add!("flow/restricted/oracle_scans", scans);
         }
     }
 

@@ -15,7 +15,7 @@
 //! `/timeline` (epoch timeline JSON), `/health` (SLO summary), anything
 //! else 404. The handler trait decouples the server from the serve
 //! crate; all rendering happens before any socket write and outside any
-//! registry lock.
+//! recorder lock.
 
 use crate::Snapshot;
 use std::io::{Read as _, Write as _};
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Sanitize a registry metric name into a Prometheus metric name:
+/// Sanitize a recorder metric name into a Prometheus metric name:
 /// `serve/cache_hits` → `sor_serve_cache_hits`. Every non-alphanumeric
 /// byte becomes `_`, and everything gets the `sor_` namespace prefix.
 pub fn prom_name(name: &str) -> String {
@@ -54,7 +54,7 @@ fn push_prom_f64(out: &mut String, v: f64) {
 }
 
 /// Extra gauge samples appended to the exposition (window rates,
-/// percentiles, health counts — anything not in the registry proper).
+/// percentiles, health counts — anything not in the recorder proper).
 #[derive(Clone, Debug, Default)]
 pub struct PromGauges {
     samples: Vec<(String, f64)>,
@@ -66,7 +66,7 @@ impl PromGauges {
         PromGauges::default()
     }
 
-    /// Append one gauge; `name` is a registry-style name (it goes
+    /// Append one gauge; `name` is a recorder-style name (it goes
     /// through [`prom_name`]), `labels` is a pre-rendered label body
     /// such as `window="10"` (empty for none).
     pub fn push(&mut self, name: &str, labels: &str, value: f64) {

@@ -29,6 +29,8 @@
 //! `sor-forensics/1` JSON document.
 
 use crate::journal::{EdgeLoad, JournalEvent};
+use crate::json::push_f64;
+use std::collections::BTreeMap;
 
 /// Causal buckets, in attribution precedence order (first match wins).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,6 +76,10 @@ pub struct EpochStats {
     pub epoch: u64,
     /// Requests admitted.
     pub admitted: usize,
+    /// Backpressure rejections reported when the epoch began.
+    pub rejected: u64,
+    /// Requests still queued after admission.
+    pub queue_depth: usize,
     /// Whether the epoch hit the path-system cache.
     pub cache_hit: bool,
     /// Whether the epoch missed (sampled fresh).
@@ -94,6 +100,8 @@ pub struct EpochStats {
     pub invalidations: u64,
     /// An `edge_fail` event is tagged with this epoch.
     pub edge_failed: bool,
+    /// Edges taken down by the `edge_fail` events tagged with this epoch.
+    pub edge_failures: usize,
     /// An `edge_restore` event is tagged with this epoch.
     pub edge_restored: bool,
     /// Fingerprint of the admitted pair set, when an `admit` event was
@@ -297,33 +305,19 @@ impl ForensicsReport {
     }
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Fold the event stream into per-epoch statistics (epoch order).
 pub fn fold_epochs(events: &[JournalEvent]) -> Vec<EpochStats> {
-    let mut epochs: Vec<EpochStats> = Vec::new();
+    let mut epochs: BTreeMap<u64, EpochStats> = BTreeMap::new();
     for ev in events {
         let epoch = ev.epoch();
-        let idx = match epochs.iter().position(|s| s.epoch == epoch) {
-            Some(i) => i,
-            None => {
-                epochs.push(EpochStats {
-                    epoch,
-                    ..EpochStats::default()
-                });
-                epochs.len() - 1
-            }
-        };
-        let Some(stats) = epochs.get_mut(idx) else {
-            continue; // unreachable: idx < epochs.len() by construction
-        };
+        let stats = epochs.entry(epoch).or_insert_with(|| EpochStats {
+            epoch,
+            ..EpochStats::default()
+        });
         match ev {
+            // queue depth at entry; admission is subtracted at epoch end
+            JournalEvent::EpochBegin { queue_depth, .. } => stats.queue_depth = *queue_depth,
+            JournalEvent::Reject { count, .. } => stats.rejected += count,
             JournalEvent::Admit {
                 count, demand_fp, ..
             } => {
@@ -334,7 +328,10 @@ pub fn fold_epochs(events: &[JournalEvent]) -> Vec<EpochStats> {
             JournalEvent::CacheMiss { .. } => stats.cache_miss = true,
             JournalEvent::CacheEvict { count, .. } => stats.evictions += count,
             JournalEvent::CacheInvalidate { count, .. } => stats.invalidations += count,
-            JournalEvent::EdgeFail { .. } => stats.edge_failed = true,
+            JournalEvent::EdgeFail { edges, .. } => {
+                stats.edge_failed = true;
+                stats.edge_failures += edges.len();
+            }
             JournalEvent::EdgeRestore { .. } => stats.edge_restored = true,
             JournalEvent::Fallback { pairs, .. } => stats.fallback_pairs = *pairs,
             JournalEvent::Unserved { pairs, .. } => stats.unserved_pairs = *pairs,
@@ -356,6 +353,7 @@ pub fn fold_epochs(events: &[JournalEvent]) -> Vec<EpochStats> {
                 ..
             } => {
                 stats.admitted = *admitted;
+                stats.queue_depth = stats.queue_depth.saturating_sub(*admitted);
                 stats.cache_hit |= *cache_hit;
                 stats.congestion = *congestion;
                 stats.fallback_pairs = *fallback_pairs;
@@ -363,13 +361,10 @@ pub fn fold_epochs(events: &[JournalEvent]) -> Vec<EpochStats> {
                 stats.failed_edges = *failed_edges;
                 stats.epoch_wall_ns = *epoch_wall_ns;
             }
-            JournalEvent::EpochBegin { .. }
-            | JournalEvent::Reject { .. }
-            | JournalEvent::Reopt { .. } => {}
+            JournalEvent::Reopt { .. } => {}
         }
     }
-    epochs.sort_by_key(|s| s.epoch);
-    epochs
+    epochs.into_values().collect()
 }
 
 /// The dominant cause for the transition landing on `to`, given the

@@ -1,4 +1,4 @@
-//! Flight recorder: a bounded, sharded ring journal of causal events.
+//! Flight recorder: a bounded ring journal of causal events.
 //!
 //! The timeline ([`crate::timeline`]) answers "what were the numbers
 //! around epoch 37"; the journal answers "what *happened*" — the causal
@@ -12,18 +12,16 @@
 //! Design constraints, in order:
 //!
 //! * **Zero cost detached.** Nothing global: the engine holds an
-//!   `Option<Arc<Journal>>` and emits only behind it. No atomics are
-//!   touched on the detached path.
+//!   `Option<Arc<Journal>>` and appends only behind it.
 //! * **Bit-output-neutral attached.** Recording is strictly read-only
 //!   over the epoch's outputs — events carry copies of already-published
 //!   data, never feed anything back, and hold no wall clocks on the
 //!   deterministic path (the serve determinism test pins bit-equality of
 //!   published snapshots with the journal attached and detached).
-//! * **Bounded and cheap.** Eight shards, each a pre-sized
-//!   `Mutex<VecDeque>`; a global relaxed sequence counter round-robins
-//!   writers across shards, so concurrent emitters (engine thread vs. a
-//!   `fail_edges` caller) contend at 1/8 the rate. Past capacity the
-//!   oldest event in the shard is dropped and counted.
+//! * **Bounded and cheap.** One pre-sized ring under the one lock the
+//!   scrape thread needs to read it. The engine appends each epoch's
+//!   events in one batch; past capacity the oldest event is dropped and
+//!   counted.
 //!
 //! The dump format is versioned (`sor-journal/1`), hand-rolled like
 //! every JSON writer in the tree, and round-trips through the PR-4
@@ -33,14 +31,11 @@
 //! depends on nothing), so events carry raw `u32` edge/node ids rather
 //! than `sor-graph` newtypes; the serving layer owns the translation.
 
+use crate::json::push_f64;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of ring shards (writers round-robin by sequence number).
-pub const JOURNAL_SHARDS: usize = 8;
-
-/// Default total event capacity across all shards.
+/// Default event capacity.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 8192;
 
 /// One edge's load in a top-k congestion record: raw edge id, absolute
@@ -237,13 +232,19 @@ impl JournalEvent {
     }
 }
 
-/// The bounded, sharded ring journal (see module docs).
+/// The bounded ring journal (see module docs).
 pub struct Journal {
-    shards: Vec<Mutex<VecDeque<(u64, JournalEvent)>>>,
-    shard_cap: usize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    last_epoch: AtomicU64,
+    ring: Mutex<Ring>,
+}
+
+struct Ring {
+    /// Retained `(seq, event)` pairs, oldest first.
+    events: VecDeque<(u64, JournalEvent)>,
+    capacity: usize,
+    /// Events ever appended; the next event's sequence number.
+    recorded: u64,
+    dropped: u64,
+    last_epoch: u64,
 }
 
 impl Default for Journal {
@@ -253,56 +254,47 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// Journal with the default total capacity.
+    /// Journal with the default capacity.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Journal retaining roughly `capacity` events total across the
-    /// shards (rounded up to a multiple of [`JOURNAL_SHARDS`]). Each
-    /// shard's buffer is pre-sized so steady-state recording never
-    /// allocates.
+    /// Journal retaining the newest `capacity` events (at least one).
+    /// The ring is pre-sized so steady-state appends never allocate.
     pub fn with_capacity(capacity: usize) -> Self {
-        let shard_cap = capacity.div_ceil(JOURNAL_SHARDS).max(1);
+        let capacity = capacity.max(1);
         Journal {
-            shards: (0..JOURNAL_SHARDS)
-                .map(|_| Mutex::new(VecDeque::with_capacity(shard_cap)))
-                .collect(),
-            shard_cap,
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            last_epoch: AtomicU64::new(0),
+            ring: Mutex::new(Ring {
+                events: VecDeque::with_capacity(capacity),
+                capacity,
+                recorded: 0,
+                dropped: 0,
+                last_epoch: 0,
+            }),
         }
     }
 
-    /// Append one event: take a global sequence number, push into the
-    /// round-robin shard, drop (and count) the shard's oldest event past
-    /// capacity. One relaxed fetch-add plus one short shard lock.
-    pub fn record(&self, event: JournalEvent) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.last_epoch.fetch_max(event.epoch(), Ordering::Relaxed);
-        let idx = usize::try_from(seq % JOURNAL_SHARDS as u64).unwrap_or(0);
-        let Some(shard) = self.shards.get(idx) else {
-            return; // unreachable: idx < JOURNAL_SHARDS by construction
-        };
-        let evicted = {
-            let mut ring = shard.lock();
+    /// Append events in order under one lock: each takes the next
+    /// sequence number; past capacity the oldest retained event is
+    /// dropped (and counted).
+    pub fn append(&self, events: impl IntoIterator<Item = JournalEvent>) {
+        let mut ring = self.ring.lock();
+        for event in events {
             // sor-check: allow(lock-order) — VecDeque::len on the live guard, not a re-acquisition
-            let full = ring.len() == self.shard_cap;
-            if full {
-                ring.pop_front();
+            if ring.events.len() == ring.capacity {
+                ring.events.pop_front();
+                ring.dropped += 1;
             }
-            ring.push_back((seq, event));
-            full
-        };
-        if evicted {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            ring.last_epoch = ring.last_epoch.max(event.epoch());
+            let seq = ring.recorded;
+            ring.recorded += 1;
+            ring.events.push_back((seq, event));
         }
     }
 
-    /// Events currently retained (across all shards).
+    /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.ring.lock().events.len()
     }
 
     /// Whether nothing has been retained.
@@ -312,64 +304,44 @@ impl Journal {
 
     /// Total events ever recorded (including dropped ones).
     pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.ring.lock().recorded
     }
 
     /// Events evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.lock().dropped
     }
 
-    /// Highest epoch tag seen so far.
-    pub fn last_epoch(&self) -> u64 {
-        self.last_epoch.load(Ordering::Relaxed)
-    }
-
-    /// Merged copy of the retained `(seq, event)` pairs in sequence
-    /// order. Shard locks are taken one at a time and released before
-    /// the sort — nothing expensive happens under a guard.
+    /// Copy of the retained `(seq, event)` pairs in sequence order.
     pub fn events(&self) -> Vec<(u64, JournalEvent)> {
-        let mut all: Vec<(u64, JournalEvent)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let ring = shard.lock();
-            all.extend(ring.iter().cloned());
-        }
-        all.sort_by_key(|&(seq, _)| seq);
-        all
-    }
-
-    /// Retained events tagged with epoch `>= min_epoch`, in sequence
-    /// order.
-    pub fn events_since_epoch(&self, min_epoch: u64) -> Vec<(u64, JournalEvent)> {
-        let mut all = self.events();
-        all.retain(|(_, e)| e.epoch() >= min_epoch);
-        all
+        self.ring.lock().events.iter().cloned().collect()
     }
 
     /// Serialize the whole retained ring as a `sor-journal/1` document
     /// with extra top-level string fields (`meta`).
     pub fn dump_json(&self, meta: &[(&str, &str)]) -> String {
-        events_to_json(&self.events(), self.recorded(), self.dropped(), meta)
+        self.dump_json_last(0, meta)
     }
 
     /// Serialize only the last `epochs` epochs of context (relative to
-    /// the highest epoch seen) — the breach-dump shape.
+    /// the highest epoch seen; 0 = everything) — the breach-dump shape.
     pub fn dump_json_last(&self, epochs: u64, meta: &[(&str, &str)]) -> String {
-        let min_epoch = self.last_epoch().saturating_sub(epochs.saturating_sub(1));
-        let events = if epochs == 0 {
-            self.events()
-        } else {
-            self.events_since_epoch(min_epoch)
+        let (events, recorded, dropped) = {
+            let ring = self.ring.lock();
+            let min_epoch = if epochs == 0 {
+                0
+            } else {
+                ring.last_epoch.saturating_sub(epochs - 1)
+            };
+            let events: Vec<(u64, JournalEvent)> = ring
+                .events
+                .iter()
+                .filter(|(_, e)| e.epoch() >= min_epoch)
+                .cloned()
+                .collect();
+            (events, ring.recorded, ring.dropped)
         };
-        events_to_json(&events, self.recorded(), self.dropped(), meta)
-    }
-}
-
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
+        events_to_json(&events, recorded, dropped, meta)
     }
 }
 
@@ -418,9 +390,9 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
             ..
         } => {
             out.push_str(&format!(",\"pairs\":{pairs},\"congestion\":"));
-            push_json_f64(out, *congestion);
+            push_f64(out, *congestion);
             out.push_str(",\"lower_bound\":");
-            push_json_f64(out, *lower_bound);
+            push_f64(out, *lower_bound);
             out.push_str(&format!(",\"integral\":{integral}"));
         }
         JournalEvent::TopEdges { edges, .. } => {
@@ -430,9 +402,9 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
                     out.push(',');
                 }
                 out.push_str(&format!("{{\"edge\":{},\"load\":", el.edge));
-                push_json_f64(out, el.load);
+                push_f64(out, el.load);
                 out.push_str(",\"utilization\":");
-                push_json_f64(out, el.utilization);
+                push_f64(out, el.utilization);
                 out.push('}');
             }
             out.push(']');
@@ -457,7 +429,7 @@ fn push_event_json(out: &mut String, seq: u64, e: &JournalEvent) {
             out.push_str(&format!(
                 ",\"admitted\":{admitted},\"cache_hit\":{cache_hit},\"congestion\":"
             ));
-            push_json_f64(out, *congestion);
+            push_f64(out, *congestion);
             out.push_str(&format!(
                 ",\"fallback_pairs\":{fallback_pairs},\"unserved_pairs\":{unserved_pairs},\
                  \"failed_edges\":{failed_edges},\"epoch_wall_ns\":{epoch_wall_ns}"
@@ -757,16 +729,13 @@ mod tests {
     }
 
     #[test]
-    fn record_orders_by_sequence_across_shards() {
+    fn append_orders_by_sequence() {
         let j = Journal::new();
-        for e in sample_events() {
-            j.record(e);
-        }
+        j.append(sample_events());
         let events = j.events();
         assert_eq!(events.len(), 15);
         assert_eq!(j.recorded(), 15);
         assert_eq!(j.dropped(), 0);
-        assert_eq!(j.last_epoch(), 2);
         let seqs: Vec<u64> = events.iter().map(|&(s, _)| s).collect();
         assert_eq!(seqs, (0..15).collect::<Vec<_>>());
         assert_eq!(
@@ -776,37 +745,21 @@ mod tests {
     }
 
     #[test]
-    fn ring_bounds_capacity_and_counts_drops() {
-        let j = Journal::with_capacity(JOURNAL_SHARDS * 2); // 2 per shard
-        for i in 0..40u64 {
-            j.record(JournalEvent::CacheHit { epoch: i });
-        }
-        assert_eq!(j.len(), JOURNAL_SHARDS * 2);
+    fn ring_holds_exactly_its_capacity_and_counts_drops() {
+        let j = Journal::with_capacity(5);
+        j.append((0..40u64).map(|epoch| JournalEvent::CacheHit { epoch }));
+        assert_eq!(j.len(), 5);
         assert_eq!(j.recorded(), 40);
-        assert_eq!(j.dropped(), 40 - (JOURNAL_SHARDS as u64) * 2);
-        // survivors are the most recent events
-        let events = j.events();
-        let min_seq = events.iter().map(|&(s, _)| s).min().unwrap_or(0);
-        assert!(min_seq >= 40 - (JOURNAL_SHARDS as u64) * 2);
-    }
-
-    #[test]
-    fn events_since_epoch_filters_context() {
-        let j = Journal::new();
-        for e in sample_events() {
-            j.record(e);
-        }
-        let tail = j.events_since_epoch(1);
-        assert_eq!(tail.len(), 7);
-        assert!(tail.iter().all(|(_, e)| e.epoch() >= 1));
+        assert_eq!(j.dropped(), 35);
+        // survivors are the most recent events, in order
+        let seqs: Vec<u64> = j.events().iter().map(|&(s, _)| s).collect();
+        assert_eq!(seqs, (35..40).collect::<Vec<_>>());
     }
 
     #[test]
     fn dump_round_trips_through_parser() {
         let j = Journal::new();
-        for e in sample_events() {
-            j.record(e);
-        }
+        j.append(sample_events());
         let json = j.dump_json(&[("reason", "test"), ("graph", "cycle:8")]);
         let dump = parse_journal(&json).expect("round-trip parse");
         assert_eq!(dump.recorded, 15);
@@ -828,9 +781,7 @@ mod tests {
     #[test]
     fn dump_last_epochs_limits_context() {
         let j = Journal::new();
-        for e in sample_events() {
-            j.record(e);
-        }
+        j.append(sample_events());
         let json = j.dump_json_last(2, &[]);
         let dump = parse_journal(&json).expect("parse tail dump");
         // last 2 epochs relative to epoch 2 → epochs 1 and 2 only
@@ -854,7 +805,7 @@ mod tests {
     #[test]
     fn meta_values_are_escaped() {
         let j = Journal::new();
-        j.record(JournalEvent::CacheHit { epoch: 0 });
+        j.append([JournalEvent::CacheHit { epoch: 0 }]);
         let json = j.dump_json(&[("note", "say \"hi\" \\ bye")]);
         let dump = parse_journal(&json).expect("escaped meta parses");
         assert!(dump

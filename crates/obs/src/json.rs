@@ -45,7 +45,7 @@ fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_f64(out: &mut String, v: f64) {
+pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // Rust's Display for f64 is shortest-roundtrip; ensure the
         // token stays a JSON number (Display never emits exponents

@@ -6,32 +6,33 @@
 //! time vs. `C + D`), so every performance PR needs to see *where* the
 //! iterations and the wall time go — this crate is that instrument.
 //!
-//! Three facilities, one registry:
+//! Three facilities:
 //!
 //! * **Spans** ([`span`]) — RAII scoped timers that nest into a phase
 //!   tree (`sor/run` → `hierarchy/build` → `frt/tree`, …) with call
 //!   counts and wall time, rendered as a flamegraph-style text report
-//!   ([`phase_report`]).
+//!   ([`Recorder::phase_report`]).
 //! * **Counters and histograms** ([`count`], [`observe`], and the
-//!   cached-handle macros [`counter_add!`] and [`observe_into!`]) — a
-//!   lock-cheap sharded [`MetricsRegistry`] built on the vendored
-//!   `parking_lot`; counters are single atomics after registration.
+//!   [`counter_add!`] / [`observe_into!`] macros).
 //! * **Leveled logging** ([`error!`], [`warn!`], [`info!`], [`debug!`])
 //!   routed through one process-wide sink, so `--quiet` can actually
 //!   silence the whole pipeline and tests can capture diagnostics.
 //!
-//! # Zero cost when disabled
+//! # Run-scoped recording
 //!
-//! Capture is **off by default**. Every recording call site first checks
-//! [`enabled`] — one relaxed atomic load, and with the `capture` cargo
-//! feature disabled the check is `const false` and the whole call folds
-//! away. Metrics never feed back into any algorithm, so seeded pipeline
-//! output is bit-identical with observability on or off (the workspace's
-//! determinism test asserts exactly that).
+//! Spans, counters and histograms land in a [`Recorder`] that the run
+//! owns — the `sor` CLI, a perf suite run, a test — and installs as its
+//! thread's current recorder for a scope ([`Recorder::install`]). With
+//! no recorder installed every recording call is a no-op after one
+//! thread-local check. There is no process-global metric state, so
+//! concurrent runs (parallel tests, two engines on two threads) never
+//! bleed into each other. Metrics never feed back into any algorithm, so
+//! seeded pipeline output is bit-identical with or without a recorder
+//! (the workspace's determinism tests assert exactly that).
 //!
 //! # Snapshot / export
 //!
-//! [`snapshot`] collects every registered counter, histogram, and span
+//! [`Recorder::snapshot`] collects every counter, histogram, and span
 //! into a deterministic, name-sorted [`Snapshot`]; `Snapshot::to_json`
 //! hand-rolls the machine-readable export (no serde in the tree — same
 //! discipline as `sor-check`'s SARIF writer). The `sor` CLI exposes it
@@ -40,17 +41,18 @@
 //!
 //! # Live telemetry (v2)
 //!
-//! On top of the cumulative registry sits a live plane for long-running
+//! On top of the recorder sits a live plane for long-running
 //! serving: [`window`] (sliding-window rates over deterministic ticks
 //! plus log-bucketed streaming percentiles), [`timeline`] (a bounded
-//! ring of per-epoch records), [`slo`] (declarative threshold
-//! watchdogs), and [`expose`] (Prometheus-style text exposition over a
-//! plain TCP scrape thread). All of it is read-only over recorded data
-//! — live telemetry can never perturb the bit-determinism contract.
+//! ring of per-epoch records folded from the epoch's events), [`slo`]
+//! (declarative threshold watchdogs), and [`expose`] (Prometheus-style
+//! text exposition over a plain TCP scrape thread). All of it is
+//! read-only over recorded data — live telemetry can never perturb the
+//! bit-determinism contract.
 //!
 //! # Flight recorder & forensics (v3)
 //!
-//! [`journal`] is a bounded, sharded ring of structured *causal* events
+//! [`journal`] is a bounded ring of structured *causal* events
 //! (admissions, cache movements, failures, fallbacks, re-opt summaries,
 //! top-k edge loads, path churn) with a versioned `sor-journal/1` dump
 //! format; [`forensics`] ingests a dump and attributes epoch-over-epoch
@@ -60,14 +62,12 @@
 
 #![forbid(unsafe_code)]
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 pub mod expose;
 pub mod forensics;
 pub mod journal;
 mod json;
 mod logging;
-mod metrics;
+mod recorder;
 pub mod slo;
 pub mod snapshot;
 mod span;
@@ -81,52 +81,23 @@ pub use forensics::{
 };
 pub use journal::{
     parse_journal, EdgeLoad, Journal, JournalDump, JournalEvent, DEFAULT_JOURNAL_CAPACITY,
-    JOURNAL_SHARDS,
 };
 pub use json::{parse_json, JsonError, JsonValue};
 pub use logging::{
     log, log_enabled, log_level, set_log_level, set_sink, take_captured, Level, Sink,
 };
-pub use metrics::{
-    count, count_usize, counter, histogram, observe, registry, BucketCount, Counter,
-    CounterSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, POW2_BUCKETS, RATIO_BUCKETS,
+pub use recorder::{
+    count, count_usize, enabled, observe, BucketCount, CounterSnapshot, HistogramSnapshot,
+    Recorder, RecorderScope, POW2_BUCKETS, RATIO_BUCKETS,
 };
 pub use slo::{HealthSummary, SloBreach, SloConfig, SloInputs, SloWatchdog, SLO_RULES};
-pub use span::{phase_report, render_phase_tree, span, Span, SpanSnapshot};
+pub use span::{render_phase_tree, span, Span, SpanSnapshot};
 pub use timeline::{EpochRecord, EpochTimeline};
 pub use window::{LogHistogram, WindowRegistry, WindowSnapshot};
 
-/// Runtime capture switch (compile-time gated by the `capture` feature).
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Whether metric/span capture is currently on. One relaxed atomic load;
-/// statically `false` when the crate is built without the `capture`
-/// feature, so guarded call sites vanish entirely.
-#[inline]
-pub fn enabled() -> bool {
-    cfg!(feature = "capture") && ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn metric/span capture on or off. A no-op (capture stays off) when
-/// the `capture` feature is compiled out.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Zero every registered counter and histogram and clear the span tree.
-///
-/// Handles returned by [`counter`] / [`histogram`] (including the ones
-/// cached by [`counter_add!`] / [`observe_into!`]) stay valid — the
-/// registry zeroes values in place rather than dropping the cells, so a
-/// cached handle never counts into a detached metric.
-pub fn reset() {
-    metrics::registry().reset();
-    span::reset_spans();
-}
-
-/// A full, deterministic (name-sorted) dump of the registry and the span
-/// tree. See [`snapshot`].
-#[derive(Clone, Debug)]
+/// A full, deterministic (name-sorted) dump of a recorder's metrics and
+/// span tree. See [`Recorder::snapshot`].
+#[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     /// All registered counters, sorted by name.
     pub counters: Vec<CounterSnapshot>,
@@ -154,47 +125,26 @@ impl Snapshot {
     }
 }
 
-/// Collect a [`Snapshot`] of everything recorded so far.
-pub fn snapshot() -> Snapshot {
-    Snapshot {
-        counters: metrics::registry().counter_snapshots(),
-        histograms: metrics::registry().histogram_snapshots(),
-        spans: span::span_snapshots(),
-    }
-}
-
-/// Increment a named counter through a call-site-cached handle: the
-/// registry is consulted once per call site, after which each hit is a
-/// single atomic add. The name must be a `&'static str` literal. No-op
-/// while capture is disabled.
+/// Add to a named counter on the current recorder (default increment
+/// 1; no-op without one). The name must be a `&'static str`.
 #[macro_export]
 macro_rules! counter_add {
-    ($name:expr, $n:expr) => {{
-        if $crate::enabled() {
-            static CELL: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
-                ::std::sync::OnceLock::new();
-            CELL.get_or_init(|| $crate::counter($name)).add($n);
-        }
-    }};
+    ($name:expr, $n:expr) => {
+        $crate::count($name, $n)
+    };
     ($name:expr) => {
         $crate::counter_add!($name, 1)
     };
 }
 
-/// Record a value into a named fixed-bucket histogram through a
-/// call-site-cached handle (see [`counter_add!`]). `$bounds` are the
-/// inclusive bucket upper edges used at first registration. No-op while
-/// capture is disabled.
+/// Record a value into a named fixed-bucket histogram on the current
+/// recorder (no-op without one). `$bounds` are the inclusive bucket
+/// upper edges used at first registration.
 #[macro_export]
 macro_rules! observe_into {
-    ($name:expr, $bounds:expr, $value:expr) => {{
-        if $crate::enabled() {
-            static CELL: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
-                ::std::sync::OnceLock::new();
-            CELL.get_or_init(|| $crate::histogram($name, $bounds))
-                .observe($value);
-        }
-    }};
+    ($name:expr, $bounds:expr, $value:expr) => {
+        $crate::observe($name, $bounds, $value)
+    };
 }
 
 #[cfg(test)]
@@ -202,64 +152,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn enabled_toggles() {
-        // Serialize against other tests that flip the global switch.
-        let _guard = crate::metrics::test_lock();
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
+    fn macros_are_noops_without_a_recorder() {
+        let rec = Recorder::new();
+        counter_add!("lib/test/detached_counter");
+        observe_into!("lib/test/detached_histo", &[1.0, 2.0], 1.5);
+        let snap = rec.snapshot();
+        assert_eq!(snap.num_metrics(), 0);
+    }
+
+    #[test]
+    fn macros_record_into_the_installed_recorder() {
+        let rec = Recorder::new();
+        {
+            let _scope = rec.install();
+            assert!(enabled());
+            counter_add!("lib/test/macro_counter", 3);
+            counter_add!("lib/test/macro_counter");
+            observe_into!("lib/test/macro_histo", &[1.0, 2.0], 1.5);
+        }
         assert!(!enabled());
-    }
-
-    #[test]
-    fn macros_are_noops_when_disabled() {
-        let _guard = crate::metrics::test_lock();
-        set_enabled(false);
-        counter_add!("lib/test/disabled_counter");
-        observe_into!("lib/test/disabled_histo", &[1.0, 2.0], 1.5);
-        let snap = snapshot();
-        assert!(!snap
-            .counters
-            .iter()
-            .any(|c| c.name == "lib/test/disabled_counter"));
-        assert!(!snap
-            .histograms
-            .iter()
-            .any(|h| h.name == "lib/test/disabled_histo"));
-    }
-
-    #[test]
-    fn macros_record_when_enabled() {
-        let _guard = crate::metrics::test_lock();
-        set_enabled(true);
-        counter_add!("lib/test/macro_counter", 3);
-        counter_add!("lib/test/macro_counter");
-        observe_into!("lib/test/macro_histo", &[1.0, 2.0], 1.5);
-        set_enabled(false);
-        let snap = snapshot();
-        let c = snap
-            .counters
-            .iter()
-            .find(|c| c.name == "lib/test/macro_counter")
-            .expect("registered");
-        assert_eq!(c.value, 4);
-        assert!(snap
-            .histograms
-            .iter()
-            .any(|h| h.name == "lib/test/macro_histo" && h.count == 1));
-    }
-
-    #[test]
-    fn reset_keeps_cached_handles_valid() {
-        let _guard = crate::metrics::test_lock();
-        set_enabled(true);
-        let c = counter("lib/test/reset_counter");
-        c.add(5);
-        reset();
-        assert_eq!(c.get(), 0);
-        c.add(2);
-        // the registry still serves the same cell
-        assert_eq!(counter("lib/test/reset_counter").get(), 2);
-        set_enabled(false);
+        let snap = rec.snapshot();
+        assert_eq!(snap.counters[0].name, "lib/test/macro_counter");
+        assert_eq!(snap.counters[0].value, 4);
+        assert_eq!(snap.histograms[0].count, 1);
     }
 }

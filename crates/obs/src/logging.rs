@@ -7,9 +7,9 @@
 //! `--quiet` maps to [`set_log_level`]`(Level::Off)` and tests can
 //! redirect output into a capture buffer with [`set_sink`].
 //!
-//! Logging is deliberately independent of the metric/span capture
-//! switch ([`crate::enabled`]): diagnostics default to [`Level::Warn`]
-//! even in otherwise uninstrumented runs.
+//! Logging is deliberately independent of the run's
+//! [`crate::Recorder`]: diagnostics default to [`Level::Warn`] even in
+//! runs that record nothing, and the sink stays process-wide.
 
 use parking_lot::Mutex;
 use std::fmt;
@@ -159,13 +159,20 @@ macro_rules! debug {
     };
 }
 
+/// Serialize the unit tests that swap the process-wide sink.
+#[cfg(test)]
+pub(crate) fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(())).lock()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn levels_filter_and_sink_captures() {
-        let _guard = crate::metrics::test_lock();
+        let _guard = test_lock();
         set_sink(Sink::Memory);
         let _ = take_captured();
         set_log_level(Level::Warn);

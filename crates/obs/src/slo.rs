@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn breaches_fire_count_and_log() {
-        let _guard = crate::metrics::test_lock();
+        let _guard = crate::logging::test_lock();
         set_sink(Sink::Memory);
         let _ = take_captured();
         let w = SloWatchdog::new(SloConfig {

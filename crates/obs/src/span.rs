@@ -8,32 +8,15 @@
 //! `area/action`), so tree paths are stored as segment vectors and keyed
 //! internally with a separator that cannot appear in a name.
 //!
-//! [`phase_report`] renders the tree as an indented flamegraph-style
-//! text report with per-node total time, self time (total minus direct
+//! Each node lives in the [`Recorder`] that was current when its span
+//! opened. [`Recorder::phase_report`] renders the tree as an indented
+//! flamegraph-style text report with per-node total time, self time (total minus direct
 //! children), and share of the root span.
 
-use parking_lot::Mutex;
+use crate::recorder::{Recorder, SEP};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Internal path separator for the span map key. Span *names* use `/`
-/// freely; `;` is reserved (a name containing it would corrupt the
-/// tree, so don't).
-const SEP: char = ';';
-
-#[derive(Default)]
-struct SpanStat {
-    calls: u64,
-    total_ns: u64,
-}
-
-fn span_map() -> &'static Mutex<HashMap<String, SpanStat>> {
-    static MAP: OnceLock<Mutex<HashMap<String, SpanStat>>> = OnceLock::new();
-    MAP.get_or_init(|| Mutex::new(HashMap::new()))
-}
 
 thread_local! {
     /// The currently open span names on this thread, outermost first.
@@ -41,14 +24,15 @@ thread_local! {
 }
 
 /// A live RAII span; created by [`span`], recorded into the phase tree
-/// when dropped. Inert (and allocation-free) while capture is disabled.
+/// of the recorder that was current when it opened. Inert (and
+/// allocation-free) when no recorder is installed.
 #[must_use = "a span times its scope; dropping it immediately records ~0ns"]
 #[derive(Debug)]
 pub struct Span {
-    /// `Some((start, key))` when capture was enabled at creation; the
-    /// key is the full stack path, pre-joined so `Drop` does no work
-    /// beyond one map update.
-    live: Option<(Instant, String)>,
+    /// `Some((start, key, recorder))` when a recorder was current at
+    /// creation; the key is the full stack path, pre-joined so `Drop`
+    /// does no work beyond one map update.
+    live: Option<(Instant, String, Recorder)>,
 }
 
 /// Open a span named `name` for the enclosing scope. The returned guard
@@ -56,15 +40,17 @@ pub struct Span {
 /// identified by the stack of currently open spans on this thread.
 ///
 /// ```
+/// let rec = sor_obs::Recorder::new();
+/// let _scope = rec.install();
 /// let _root = sor_obs::span("doc/outer");
 /// {
 ///     let _inner = sor_obs::span("doc/inner"); // node: doc/outer → doc/inner
 /// }
 /// ```
 pub fn span(name: &'static str) -> Span {
-    if !crate::enabled() {
+    let Some(rec) = Recorder::current() else {
         return Span { live: None };
-    }
+    };
     let key = STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
         stack.push(name);
@@ -78,25 +64,20 @@ pub fn span(name: &'static str) -> Span {
         key
     });
     Span {
-        live: Some((Instant::now(), key)),
+        live: Some((Instant::now(), key, rec)),
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some((start, key)) = self.live.take() else {
+        let Some((start, key, rec)) = self.live.take() else {
             return;
         };
-        let elapsed = start.elapsed().as_nanos();
+        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         STACK.with(|stack| {
             stack.borrow_mut().pop();
         });
-        let mut map = span_map().lock();
-        let stat = map.entry(key).or_default();
-        stat.calls += 1;
-        stat.total_ns = stat
-            .total_ns
-            .saturating_add(u64::try_from(elapsed).unwrap_or(u64::MAX));
+        rec.record_span(key, elapsed);
     }
 }
 
@@ -126,41 +107,6 @@ impl SpanSnapshot {
     pub fn name(&self) -> &str {
         self.path.last().map_or("", String::as_str)
     }
-}
-
-/// Snapshot the phase tree, sorted by path (parents sort before their
-/// children, so iteration order is a pre-order walk).
-pub(crate) fn span_snapshots() -> Vec<SpanSnapshot> {
-    let mut nodes: Vec<SpanSnapshot> = {
-        let map = span_map().lock();
-        map.iter()
-            .map(|(key, stat)| SpanSnapshot {
-                path: key.split(SEP).map(str::to_string).collect(),
-                calls: stat.calls,
-                total_ns: stat.total_ns,
-                self_ns: stat.total_ns,
-            })
-            .collect()
-    };
-    nodes.sort_by(|a, b| a.path.cmp(&b.path));
-    // Subtract each node's total from its parent's self time.
-    for i in 0..nodes.len() {
-        let (parent_path, child_total) = (nodes[i].path.clone(), nodes[i].total_ns);
-        if parent_path.len() < 2 {
-            continue;
-        }
-        let parent = &parent_path[..parent_path.len() - 1];
-        if let Some(p) = nodes.iter_mut().find(|n| n.path == parent) {
-            p.self_ns = p.self_ns.saturating_sub(child_total);
-        }
-    }
-    nodes
-}
-
-/// Clear the phase tree (open spans on other threads will re-create
-/// their nodes when they close).
-pub(crate) fn reset_spans() {
-    span_map().lock().clear();
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -215,11 +161,6 @@ pub fn render_phase_tree(nodes: &[SpanSnapshot]) -> String {
     out
 }
 
-/// Snapshot the phase tree and render it — the `--trace` report.
-pub fn phase_report() -> String {
-    render_phase_tree(&span_snapshots())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,10 +174,9 @@ mod tests {
 
     #[test]
     fn spans_nest_into_a_tree() {
-        let _guard = crate::metrics::test_lock();
-        crate::set_enabled(true);
-        reset_spans();
+        let rec = Recorder::new();
         {
+            let _scope = rec.install();
             let _root = span("span-test/root");
             spin(50_000);
             for _ in 0..3 {
@@ -249,8 +189,7 @@ mod tests {
                 spin(5_000);
             }
         }
-        crate::set_enabled(false);
-        let nodes = span_snapshots();
+        let nodes = rec.snapshot().spans;
         let paths: Vec<Vec<String>> = nodes.iter().map(|n| n.path.clone()).collect();
         assert_eq!(
             paths,
@@ -277,23 +216,19 @@ mod tests {
             root.self_ns,
             root.total_ns - child.total_ns - nodes[2].total_ns
         );
-        reset_spans();
     }
 
     #[test]
-    fn disabled_spans_record_nothing() {
-        let _guard = crate::metrics::test_lock();
-        crate::set_enabled(false);
-        reset_spans();
+    fn spans_without_a_recorder_record_nothing() {
+        let rec = Recorder::new();
         {
             let _s = span("span-test/ghost");
         }
-        assert!(span_snapshots().is_empty());
+        assert!(rec.snapshot().spans.is_empty());
     }
 
     #[test]
     fn render_includes_names_and_handles_empty() {
-        let _guard = crate::metrics::test_lock();
         assert!(render_phase_tree(&[]).contains("no spans"));
         let nodes = vec![
             SpanSnapshot {

@@ -1,8 +1,9 @@
 //! Epoch timeline: a bounded ring of per-epoch serving records.
 //!
-//! The registry answers "how much, ever"; the timeline answers "what
+//! A recorder answers "how much, ever"; the timeline answers "what
 //! happened around epoch 37". Each published epoch appends one
-//! [`EpochRecord`] — congestion vs. the fresh-sample baseline, the
+//! [`EpochRecord`], built from the fold of the epoch's journal events
+//! ([`EpochRecord::from_stats`]) — congestion vs. the fresh-sample baseline, the
 //! cache's per-epoch counter deltas, fallback/unserved counts, rejected
 //! ingest, the failure state, and any SLO breaches — into a fixed-size
 //! ring, so a long-running `sor serve` keeps the recent past at O(1)
@@ -12,6 +13,8 @@
 //! Everything here is plain recorded data — the timeline never feeds
 //! back into routing, so it cannot perturb the bit-determinism contract.
 
+use crate::json::push_f64;
+use crate::EpochStats;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 
@@ -59,6 +62,33 @@ pub struct EpochRecord {
 }
 
 impl EpochRecord {
+    /// The record of one epoch's folded event batch — the inter-epoch
+    /// failure events tagged with it, then its own lifecycle from
+    /// `EpochBegin` to `EpochEnd`, folded by the same
+    /// [`crate::fold_epochs`] the forensics analyzer runs over a journal
+    /// dump. Fields no event carries (`fresh_congestion`,
+    /// `slo_breaches`) stay at their defaults for the caller to fill.
+    pub fn from_stats(s: &EpochStats) -> EpochRecord {
+        EpochRecord {
+            epoch: s.epoch,
+            admitted: s.admitted,
+            rejected: s.rejected,
+            cache_hit: s.cache_hit,
+            cache_hits: u64::from(s.cache_hit),
+            cache_misses: u64::from(s.cache_miss),
+            cache_evictions: s.evictions,
+            cache_invalidations: s.invalidations,
+            congestion: s.congestion,
+            fresh_congestion: None,
+            fallback_pairs: s.fallback_pairs,
+            unserved_pairs: s.unserved_pairs,
+            queue_depth: s.queue_depth,
+            failed_edges: s.failed_edges,
+            epoch_wall_ns: s.epoch_wall_ns,
+            slo_breaches: Vec::new(),
+        }
+    }
+
     /// `published congestion / fresh-sample congestion` when the
     /// comparison ran (1.0 ⇒ the cached path system costs nothing).
     pub fn congestion_ratio(&self) -> Option<f64> {
@@ -198,14 +228,6 @@ fn render_records_json(records: &[EpochRecord]) -> String {
     out
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 fn push_record_json(out: &mut String, r: &EpochRecord) {
     out.push_str(&format!(
         "{{\"epoch\":{},\"admitted\":{},\"rejected\":{},\"cache_hit\":{},",
@@ -247,6 +269,7 @@ fn push_record_json(out: &mut String, r: &EpochRecord) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JournalEvent;
 
     pub(crate) fn record(epoch: u64) -> EpochRecord {
         EpochRecord {
@@ -267,6 +290,56 @@ mod tests {
             epoch_wall_ns: 2_000_000,
             slo_breaches: Vec::new(),
         }
+    }
+
+    #[test]
+    fn from_stats_folds_an_epoch_batch() {
+        let events = [
+            JournalEvent::EdgeFail {
+                epoch: 3,
+                edges: vec![4],
+            },
+            JournalEvent::CacheInvalidate { epoch: 3, count: 2 },
+            JournalEvent::EpochBegin {
+                epoch: 3,
+                queue_depth: 10,
+            },
+            JournalEvent::Reject { epoch: 3, count: 5 },
+            JournalEvent::Admit {
+                epoch: 3,
+                count: 8,
+                demand_fp: 1,
+            },
+            JournalEvent::CacheMiss { epoch: 3 },
+            JournalEvent::Fallback { epoch: 3, pairs: 1 },
+            JournalEvent::CacheEvict { epoch: 3, count: 1 },
+            JournalEvent::EpochEnd {
+                epoch: 3,
+                admitted: 8,
+                cache_hit: false,
+                congestion: 2.5,
+                fallback_pairs: 1,
+                unserved_pairs: 0,
+                failed_edges: 1,
+                epoch_wall_ns: 7,
+            },
+        ];
+        let rec = EpochRecord::from_stats(&crate::fold_epochs(&events)[0]);
+        let expect = EpochRecord {
+            epoch: 3,
+            admitted: 8,
+            rejected: 5,
+            cache_misses: 1,
+            cache_evictions: 1,
+            cache_invalidations: 2,
+            congestion: 2.5,
+            fallback_pairs: 1,
+            queue_depth: 2,
+            failed_edges: 1,
+            epoch_wall_ns: 7,
+            ..EpochRecord::default()
+        };
+        assert_eq!(rec, expect);
     }
 
     #[test]

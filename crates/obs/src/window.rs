@@ -1,16 +1,16 @@
-//! Sliding-window aggregation: live rates over the metrics registry and
+//! Sliding-window aggregation: live rates over a recorder's metrics and
 //! streaming tail-latency percentiles.
 //!
-//! The PR-3 registry is cumulative — perfect for post-mortem snapshots,
-//! useless for "what is the cache hit rate *right now*". This module
-//! adds the live view without touching the hot recording path at all:
+//! A [`crate::Recorder`] is cumulative — perfect for post-mortem
+//! snapshots, useless for "what is the cache hit rate *right now*". This
+//! module adds the live view without touching the hot recording path:
 //! a [`WindowRegistry`] samples a [`Snapshot`] once per **tick** (the
 //! tick source is injected by the caller — the serving engine ticks once
 //! per epoch — so tests stay seeded and reproducible) and keeps the
 //! per-tick deltas in fixed-capacity ring buffers. From the rings it
 //! derives window rates (1/10/60-tick) and an EWMA-smoothed rate.
 //!
-//! Because the deltas are differences of the registry's exact counters,
+//! Because the deltas are differences of the recorder's exact counters,
 //! window sums are **exact** under any amount of concurrent
 //! `counter_add!` traffic — the concurrency hammer test pins that down.
 //!
@@ -35,20 +35,7 @@ pub const DEFAULT_WINDOW_CAPACITY: usize = 64;
 /// Default EWMA smoothing factor (weight of the newest tick).
 pub const DEFAULT_EWMA_ALPHA: f64 = 0.2;
 
-/// Number of window-registry shards (FNV over the metric name, same
-/// discipline as the metrics registry).
-const SHARDS: usize = 8;
-
-fn shard_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    usize::try_from(h % (SHARDS as u64)).unwrap_or(0)
-}
-
-/// Which registry facet a window series tracks.
+/// Which recorder facet a window series tracks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeriesKind {
     /// A counter's value.
@@ -70,7 +57,7 @@ impl SeriesKind {
 /// Per-metric ring of per-tick deltas plus the EWMA state.
 struct Series {
     kind: SeriesKind,
-    /// Newest delta at the back; bounded by the registry capacity.
+    /// Newest delta at the back; bounded by the window capacity.
     deltas: VecDeque<f64>,
     /// Cumulative value at the most recent tick.
     last_total: f64,
@@ -90,7 +77,7 @@ impl Series {
     }
 
     fn push(&mut self, total: f64, capacity: usize, alpha: f64) {
-        // A registry reset() can pull a cumulative value back below the
+        // A recorder reset() can pull a cumulative value back below the
         // last sample; treat the new total as the whole delta then.
         let delta = if total >= self.last_total {
             total - self.last_total
@@ -145,13 +132,17 @@ pub struct WindowSnapshot {
 
 /// Sliding-window registry: ring-buffer time-series for every counter
 /// and histogram of a sampled [`Snapshot`] (see module docs). All state
-/// is behind sharded locks; ticking and querying are safe from any
-/// thread, and the tick index itself is one atomic.
+/// is behind one lock; ticking and querying are safe from any thread.
 pub struct WindowRegistry {
-    shards: Vec<Mutex<BTreeMap<String, Series>>>,
+    state: Mutex<Windows>,
     capacity: usize,
     alpha: f64,
-    tick: AtomicU64,
+}
+
+#[derive(Default)]
+struct Windows {
+    series: BTreeMap<String, Series>,
+    ticks: u64,
 }
 
 impl Default for WindowRegistry {
@@ -172,10 +163,9 @@ impl WindowRegistry {
         assert!(capacity >= 1, "window registry needs capacity >= 1");
         assert!(alpha > 0.0 && alpha <= 1.0, "EWMA alpha must be in (0, 1]");
         WindowRegistry {
-            shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            state: Mutex::default(),
             capacity,
             alpha,
-            tick: AtomicU64::new(0),
         }
     }
 
@@ -185,47 +175,52 @@ impl WindowRegistry {
     /// serving engine ticks once per epoch — which is what keeps window
     /// contents seeded-reproducible.
     pub fn tick(&self, snap: &Snapshot) {
-        self.tick.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.state.lock();
+        state.ticks += 1;
         for c in &snap.counters {
             #[allow(clippy::cast_precision_loss)]
             // sor-check: allow(lossy-cast) — work counters are far below 2^52
             let total = c.value as f64;
-            self.ingest(&c.name, SeriesKind::Counter, total);
+            self.ingest(&mut state, &c.name, SeriesKind::Counter, total);
         }
         for h in &snap.histograms {
             #[allow(clippy::cast_precision_loss)]
             // sor-check: allow(lossy-cast) — observation counts are far below 2^52
             let total = h.count as f64;
-            self.ingest(&h.name, SeriesKind::HistogramCount, total);
+            self.ingest(&mut state, &h.name, SeriesKind::HistogramCount, total);
         }
     }
 
-    fn ingest(&self, name: &str, kind: SeriesKind, total: f64) {
-        let mut shard = self.shards[shard_of(name)].lock();
-        shard
+    fn ingest(&self, state: &mut Windows, name: &str, kind: SeriesKind, total: f64) {
+        if !state.series.contains_key(name) {
+            let series = Series::new(kind, self.capacity);
             // sor-check: allow(alloc-in-hot) — one key allocation per metric name, first tick only (BTreeMap keys must be owned)
-            .entry(name.to_string())
-            .or_insert_with(|| Series::new(kind, self.capacity))
-            .push(total, self.capacity, self.alpha);
+            state.series.insert(name.to_string(), series);
+        }
+        if let Some(series) = state.series.get_mut(name) {
+            series.push(total, self.capacity, self.alpha);
+        }
     }
 
     /// Ticks observed so far.
     pub fn ticks(&self) -> u64 {
-        self.tick.load(Ordering::Relaxed)
+        self.state.lock().ticks
     }
 
     /// Sum of per-tick deltas of `name` over the last `w` ticks, or
     /// `None` if the metric has never been ticked in.
     pub fn window_sum(&self, name: &str, w: usize) -> Option<f64> {
-        let shard = self.shards[shard_of(name)].lock();
-        shard.get(name).map(|s| s.window_sum(w))
+        self.state.lock().series.get(name).map(|s| s.window_sum(w))
     }
 
     /// Window view of one metric, or `None` if it has never been ticked
     /// in.
     pub fn rates(&self, name: &str) -> Option<WindowSnapshot> {
-        let shard = self.shards[shard_of(name)].lock();
-        shard.get(name).map(|s| Self::view(name, s))
+        self.state
+            .lock()
+            .series
+            .get(name)
+            .map(|s| Self::view(name, s))
     }
 
     fn view(name: &str, s: &Series) -> WindowSnapshot {
@@ -242,15 +237,12 @@ impl WindowRegistry {
 
     /// Name-sorted window view of every tracked metric.
     pub fn snapshot(&self) -> Vec<WindowSnapshot> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (name, s) in shard.iter() {
-                out.push(Self::view(name, s));
-            }
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
+        let state = self.state.lock();
+        state
+            .series
+            .iter()
+            .map(|(name, s)| Self::view(name, s))
+            .collect()
     }
 }
 
@@ -477,7 +469,7 @@ mod tests {
         }
         // capacity 4: the 60-tick window still only sees 4 deltas of 1
         assert_eq!(w.window_sum("a", 60), Some(4.0));
-        // a registry reset pulls the cumulative value down; the new
+        // a recorder reset pulls the cumulative value down; the new
         // total counts as the whole delta
         w.tick(&snap_with(&[("a", 3)]));
         assert_eq!(w.window_sum("a", 1), Some(3.0));

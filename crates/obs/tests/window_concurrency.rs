@@ -3,8 +3,9 @@
 //!
 //! The window contract under concurrency: ticks are injected (the
 //! engine ticks once per epoch), deltas are differences of the
-//! registry's exact counters, so however many threads hammer
-//! `counter_add!` between two ticks, the windowed sums are **exact** —
+//! recorder's exact counters, so however many threads hammer
+//! `counter_add!` into one shared recorder between two ticks, the
+//! windowed sums are **exact** —
 //! no sampling loss, no double counting. The hammer below runs rounds
 //! of concurrent adds separated by barriers and asserts the per-tick
 //! delta to the unit.
@@ -19,29 +20,17 @@
 
 use proptest::prelude::*;
 use sor_obs::window::log_bucket_of;
-use sor_obs::{LogHistogram, WindowRegistry};
-use std::sync::{Barrier, Mutex, MutexGuard, OnceLock};
+use sor_obs::{LogHistogram, Recorder, WindowRegistry};
+use std::sync::Barrier;
 use std::thread;
 
 const THREADS: u64 = 8;
 const PER_ROUND: u64 = 2_000;
 const ROUNDS: u64 = 5;
 
-/// Serialize tests in this file: they share the process-global registry
-/// and `reset()` / `set_enabled()` are global effects.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[test]
 fn window_sums_are_exact_under_concurrent_adds() {
-    let _guard = lock();
-    sor_obs::reset();
-    sor_obs::set_enabled(true);
-
+    let rec = Recorder::new();
     let windows = WindowRegistry::new();
     // two rendezvous per round: adds-done (tick runs), tick-done (next
     // round's adds may start)
@@ -50,7 +39,9 @@ fn window_sums_are_exact_under_concurrent_adds() {
     thread::scope(|s| {
         for t in 0..THREADS {
             let barrier = &barrier;
+            let rec = rec.clone();
             s.spawn(move || {
+                let _scope = rec.install();
                 for _ in 0..ROUNDS {
                     for _ in 0..PER_ROUND {
                         sor_obs::counter_add!("winconc/adds");
@@ -63,7 +54,7 @@ fn window_sums_are_exact_under_concurrent_adds() {
         }
         for round in 0..ROUNDS {
             barrier.wait(); // every thread finished this round's adds
-            windows.tick(&sor_obs::snapshot());
+            windows.tick(&rec.snapshot());
             #[allow(clippy::cast_precision_loss)]
             // sor-check: allow(lossy-cast) — counts are far below 2^52
             let expect = (THREADS * PER_ROUND) as f64;
@@ -80,7 +71,6 @@ fn window_sums_are_exact_under_concurrent_adds() {
             barrier.wait(); // release the next round
         }
     });
-    sor_obs::set_enabled(false);
 
     // the 60-tick window covers all rounds: the total is exact too
     #[allow(clippy::cast_precision_loss)]
@@ -94,8 +84,8 @@ fn window_sums_are_exact_under_concurrent_adds() {
 
 #[test]
 fn log_histogram_counts_exactly_under_concurrent_observe() {
-    // LogHistogram is registry-independent (no global state, no lock()
-    // needed) — recording is relaxed atomics, so counts stay exact.
+    // LogHistogram is recorder-independent — recording is relaxed
+    // atomics, so counts stay exact.
     let h = LogHistogram::new();
     thread::scope(|s| {
         for t in 0..THREADS {

@@ -2,9 +2,18 @@
 //!
 //! Lifecycle per epoch: **ingest** (requests queue up, backpressure
 //! rejects past a bound) → **admit** (pop up to a batch into the epoch's
-//! demand) → **solve** (re-optimize sending rates restricted to a cached
-//! sparse path system, sampling one only on a cache miss) → **publish**
-//! (an [`EpochSnapshot`] with per-pair rate-weighted routes).
+//! demand) → **lookup** (the epoch's sparse path system from the cache,
+//! sampled only on a miss) → **resolve** (apply the failure set) →
+//! **solve** (re-optimize sending rates restricted to the system) →
+//! **publish** (an [`EpochSnapshot`] with per-pair rate-weighted routes).
+//! Each stage is one method below.
+//!
+//! Each stage states each lifecycle fact once, as a [`JournalEvent`]
+//! pushed into the epoch's event batch — kept only while a journal, a
+//! telemetry plane or a [`sor_obs::Recorder`] listens. At publish the
+//! batch is folded once ([`sor_obs::fold_epochs`]): the fold feeds the
+//! current recorder's `serve/*` counters and the telemetry plane's
+//! timeline record, and the journal appends the batch itself.
 //!
 //! The expensive phase — building the Räcke routing and sampling path
 //! systems — happens once at startup and on cache misses; every warm
@@ -25,16 +34,16 @@ use crate::cache::{
 use crate::telemetry::{EpochWalls, ServeTelemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use sor_compact::{CompactStats, CompactSystem};
 use sor_core::sample::{demand_pairs, sample_k};
 use sor_core::{PathSystem, SemiObliviousRouting};
 use sor_flow::Demand;
-use sor_graph::{EdgeId, Graph, NodeId};
+use sor_graph::{EdgeId, Graph, NodeId, Path};
 use sor_oblivious::RaeckeRouting;
-use sor_obs::{EdgeLoad, Journal, JournalEvent, SloBreach};
+use sor_obs::{fold_epochs, EdgeLoad, EpochRecord, EpochStats, Journal, JournalEvent, SloBreach};
 use sor_te::emergency_path;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -137,6 +146,52 @@ impl Default for EngineConfig {
     }
 }
 
+impl EngineConfig {
+    /// Check every field against its valid range: a zero `sparsity`,
+    /// `trees`, `epoch_batch`, `queue_bound` or `cache_capacity`, or an
+    /// `eps` that is not finite and positive, is an error. An engine
+    /// built from an invalid config may panic or serve nothing.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let counts = [
+            ("sparsity", self.sparsity),
+            ("trees", self.trees),
+            ("epoch_batch", self.epoch_batch),
+            ("queue_bound", self.queue_bound),
+            ("cache_capacity", self.cache_capacity),
+        ];
+        if let Some(&(field, _)) = counts.iter().find(|&&(_, v)| v == 0) {
+            return Err(ConfigError {
+                field,
+                requirement: "at least 1",
+            });
+        }
+        if !(self.eps.is_finite() && self.eps > 0.0) {
+            return Err(ConfigError {
+                field: "eps",
+                requirement: "finite and positive",
+            });
+        }
+        Ok(())
+    }
+}
+
+/// An [`EngineConfig`] field outside its valid range.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending field's name.
+    pub field: &'static str,
+    /// What the field must satisfy.
+    pub requirement: &'static str,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} must be {}", self.field, self.requirement)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// A published per-pair route assignment: candidate paths (as edge-id
 /// sequences) with the rates the epoch's re-optimization put on them.
 /// Zero-rate candidates are omitted.
@@ -212,14 +267,6 @@ impl EpochSnapshot {
     }
 }
 
-/// Per-epoch sub-phase wall clocks, populated only while telemetry is
-/// attached (wall time never reaches published output).
-#[derive(Clone, Copy, Default)]
-struct EpochTimings {
-    cache_lookup_ns: u64,
-    reopt_ns: u64,
-}
-
 /// Congested edges reported per `top_edges` journal event.
 const TOP_EDGES_K: usize = 8;
 
@@ -260,19 +307,24 @@ pub struct Engine {
     rng: StdRng,
     epoch: u64,
     rejected: u64,
+    /// Rejections since the last epoch opened (its `Reject` event).
+    unreported_rejects: u64,
     last: Option<SemiObliviousRouting>,
     last_stats: CacheStats,
     telemetry: Option<Arc<ServeTelemetry>>,
     /// Enqueue instants mirroring `queue`, kept only while telemetry is
     /// attached (queue-wait percentiles).
     queue_times: VecDeque<Instant>,
-    timings: EpochTimings,
+    /// Stage walls of the running epoch, taken only while telemetry is
+    /// attached (wall time never reaches published output).
+    walls: EpochWalls,
     journal: Option<Arc<Journal>>,
     dump_cfg: Option<BreachDumpConfig>,
     breach_dumps: Vec<String>,
-    /// Rejection total at the last journaled epoch (reject events carry
-    /// per-epoch deltas).
-    journal_prev_rejected: u64,
+    /// The upcoming epoch's event batch: inter-epoch failure events
+    /// first, then the epoch's own lifecycle. Filled only while someone
+    /// listens ([`Engine::listening`]); drained at publish.
+    events: Vec<JournalEvent>,
     /// Last published path-set fingerprint per pair — path-churn events
     /// difference against this. BTreeMap: churn events come out in
     /// deterministic pair order.
@@ -293,15 +345,16 @@ impl Engine {
             rng,
             epoch: 0,
             rejected: 0,
+            unreported_rejects: 0,
             last: None,
             last_stats: CacheStats::default(),
             telemetry: None,
             queue_times: VecDeque::new(),
-            timings: EpochTimings::default(),
+            walls: EpochWalls::default(),
             journal: None,
             dump_cfg: None,
             breach_dumps: Vec::new(),
-            journal_prev_rejected: 0,
+            events: Vec::new(),
             pair_fps: BTreeMap::new(),
             g,
             cfg,
@@ -318,23 +371,12 @@ impl Engine {
         self.telemetry = Some(telemetry);
     }
 
-    /// The attached telemetry plane, if any.
-    pub fn telemetry(&self) -> Option<&Arc<ServeTelemetry>> {
-        self.telemetry.as_ref()
-    }
-
-    /// Attach the flight recorder: every subsequent lifecycle step emits
-    /// a causal event into the ring. Like telemetry, the journal is
-    /// strictly read-only over the epoch's outputs — published snapshots
-    /// stay bit-identical with or without it (the determinism test pins
-    /// this), and a detached engine never touches the ring at all.
+    /// Attach the flight recorder: every subsequent epoch appends its
+    /// event batch to the ring. Like telemetry, the journal is strictly
+    /// read-only over the epoch's outputs — published snapshots stay
+    /// bit-identical with or without it (the determinism test pins this).
     pub fn attach_journal(&mut self, journal: Arc<Journal>) {
         self.journal = Some(journal);
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
     }
 
     /// Arm breach-triggered dumps (requires an attached journal to have
@@ -349,6 +391,19 @@ impl Engine {
         &self.breach_dumps
     }
 
+    /// Whether anything consumes lifecycle events: a journal, a
+    /// telemetry plane, or a recorder installed on this thread.
+    fn listening(&self) -> bool {
+        self.journal.is_some() || self.telemetry.is_some() || sor_obs::enabled()
+    }
+
+    /// Push one lifecycle fact into the epoch's batch, if anyone listens.
+    fn emit(&mut self, event: JournalEvent) {
+        if self.listening() {
+            self.events.push(event);
+        }
+    }
+
     /// Offer a request. Returns `false` (and counts a rejection) when the
     /// queue is at the backpressure bound. Panics on malformed requests
     /// (self-loop, non-positive amount) — the same contract as `Demand`.
@@ -360,7 +415,7 @@ impl Engine {
         );
         if self.queue.len() >= self.cfg.queue_bound {
             self.rejected += 1;
-            sor_obs::counter_add!("serve/requests_rejected");
+            self.unreported_rejects += 1;
             return false;
         }
         if self.telemetry.is_some() {
@@ -379,21 +434,20 @@ impl Engine {
                 self.failed.push(e);
             }
         }
-        sor_obs::count_usize("serve/edge_failures", edges.len());
         let invalidated = self.cache.invalidate_edges(edges);
-        if let Some(journal) = &self.journal {
-            // Tagged with the *upcoming* epoch index: the failure takes
-            // effect on (and the invalidation misses land in) that epoch.
-            journal.record(JournalEvent::EdgeFail {
-                epoch: self.epoch,
-                edges: edges.iter().map(|e| e.0).collect(),
+        // Tagged with the *upcoming* epoch index: the failure takes
+        // effect on (and the invalidation misses land in) that epoch,
+        // whose batch carries these events.
+        let epoch = self.epoch;
+        self.emit(JournalEvent::EdgeFail {
+            epoch,
+            edges: edges.iter().map(|e| e.0).collect(),
+        });
+        if invalidated > 0 {
+            self.emit(JournalEvent::CacheInvalidate {
+                epoch,
+                count: invalidated as u64,
             });
-            if invalidated > 0 {
-                journal.record(JournalEvent::CacheInvalidate {
-                    epoch: self.epoch,
-                    count: invalidated as u64,
-                });
-            }
         }
         invalidated
     }
@@ -405,66 +459,388 @@ impl Engine {
         let restored = self.failed.len();
         self.failed.clear();
         if restored > 0 {
-            if let Some(journal) = &self.journal {
-                journal.record(JournalEvent::EdgeRestore {
-                    epoch: self.epoch,
-                    restored,
-                });
-            }
+            self.emit(JournalEvent::EdgeRestore {
+                epoch: self.epoch,
+                restored,
+            });
         }
     }
 
     /// Run one epoch: admit a batch, solve it on a cached (or freshly
     /// sampled) path system, publish the snapshot.
     pub fn run_epoch(&mut self) -> EpochSnapshot {
-        let epoch_start = (self.telemetry.is_some() || self.journal.is_some()).then(Instant::now);
-        self.timings = EpochTimings::default();
+        let epoch_start = self.listening().then(Instant::now);
+        self.walls = EpochWalls::default();
         let mut snap = {
             let _span = sor_obs::span("serve/epoch");
-            self.run_epoch_inner()
+            self.serve_epoch()
         };
         if self.cfg.compare_fresh && snap.admitted > 0 {
             // Sibling span, *outside* serve/epoch: the wall-time ratio of
             // the two spans is the cache's amortization factor.
             snap.fresh_congestion = Some(self.fresh_baseline(&snap));
         }
+        self.publish(&mut snap, epoch_start.map_or(0, elapsed_ns));
+        snap
+    }
+
+    /// The stages inside the `serve/epoch` span: admit → lookup →
+    /// resolve → solve → route extraction.
+    fn serve_epoch(&mut self) -> EpochSnapshot {
+        let epoch = self.epoch;
+        self.epoch += 1;
+        let admitted = self.admit(epoch);
+        if admitted.is_empty() {
+            return EpochSnapshot::empty(epoch, self.queue.len());
+        }
+        let demand = Demand::from_triples(admitted.iter().map(|r| (r.src, r.dst, r.amount)));
+        let pairs = demand_pairs(&demand);
+        if self.listening() {
+            self.events.push(JournalEvent::Admit {
+                epoch,
+                count: admitted.len(),
+                demand_fp: pairs_fingerprint(&pairs),
+            });
+        }
+        let (sampled, cache_hit) = self.lookup(epoch, &pairs);
+        let (system, demand, fallback_pairs, unserved_pairs) =
+            self.resolve(epoch, &sampled, demand, &pairs);
+        if demand.support_size() == 0 {
+            let mut snap = EpochSnapshot::empty(epoch, self.queue.len());
+            snap.admitted = admitted.len();
+            snap.cache_hit = cache_hit;
+            snap.unserved_pairs = unserved_pairs;
+            return snap;
+        }
+        let sparsity = system.sparsity();
+        let (sor, weights, congestion, lower_bound) = self.solve(epoch, system, &demand);
+        let (routes, compact) = self.extract_routes(epoch, &sor, &demand, &weights);
+        self.last = Some(sor);
+        EpochSnapshot {
+            epoch,
+            admitted: admitted.len(),
+            cache_hit,
+            congestion,
+            lower_bound,
+            fallback_pairs,
+            unserved_pairs,
+            queue_depth: self.queue.len(),
+            sparsity,
+            fresh_congestion: None,
+            cache: CacheDeltas::default(),
+            routes,
+            compact,
+        }
+    }
+
+    /// Admit stage: open the epoch, report the backpressure since the
+    /// last one, and pop up to a batch of queued requests.
+    fn admit(&mut self, epoch: u64) -> Vec<Request> {
+        self.emit(JournalEvent::EpochBegin {
+            epoch,
+            queue_depth: self.queue.len(),
+        });
+        let rejected = std::mem::take(&mut self.unreported_rejects);
+        if rejected > 0 {
+            self.emit(JournalEvent::Reject {
+                epoch,
+                count: rejected,
+            });
+        }
+        let take = self.cfg.epoch_batch.min(self.queue.len());
+        if let Some(telemetry) = &self.telemetry {
+            // queue-wait percentiles for the admitted batch (enqueue
+            // instants are only mirrored while telemetry is attached)
+            for _ in 0..take.min(self.queue_times.len()) {
+                if let Some(t0) = self.queue_times.pop_front() {
+                    telemetry.observe_queue_wait_ns(elapsed_ns(t0));
+                }
+            }
+        }
+        self.queue.drain(..take).collect()
+    }
+
+    /// Lookup stage: the epoch's path system from the cache, sampled from
+    /// the oblivious routing only on a miss.
+    fn lookup(&mut self, epoch: u64, pairs: &[(NodeId, NodeId)]) -> (Arc<PathSystem>, bool) {
+        let key = CacheKey::new(&self.g, pairs, self.cfg.sparsity);
+        let start = self.telemetry.is_some().then(Instant::now);
+        let Engine {
+            cache,
+            routing,
+            rng,
+            cfg,
+            ..
+        } = self;
+        let (sampled, cache_hit) = cache.get_or_insert_with(key, cfg.snapshot_format, || {
+            let _span = sor_obs::span("serve/sample");
+            sample_k(routing, pairs, cfg.sparsity, rng).system
+        });
+        if let Some(t0) = start {
+            self.walls.cache_lookup_ns = elapsed_ns(t0);
+        }
+        self.emit(if cache_hit {
+            JournalEvent::CacheHit { epoch }
+        } else {
+            JournalEvent::CacheMiss { epoch }
+        });
+        (sampled, cache_hit)
+    }
+
+    /// Resolve stage: apply the failure set to the sampled system. Pairs
+    /// that lost every candidate fall back to an emergency path; pairs the
+    /// failures disconnected leave the epoch's demand. Returns the system,
+    /// the served demand, and the fallback and unserved pair counts.
+    fn resolve(
+        &mut self,
+        epoch: u64,
+        sampled: &PathSystem,
+        demand: Demand,
+        pairs: &[(NodeId, NodeId)],
+    ) -> (PathSystem, Demand, usize, usize) {
+        let (system, fallback_pairs, unserved) =
+            resolve_failures(&self.g, sampled, &self.failed, pairs);
+        if fallback_pairs > 0 {
+            sor_obs::warn!(
+                "epoch {epoch}: {fallback_pairs} pair(s) lost every cached candidate; \
+                 emergency shortest-path fallback installed"
+            );
+            self.emit(JournalEvent::Fallback {
+                epoch,
+                pairs: fallback_pairs,
+            });
+        }
+        if unserved.is_empty() {
+            return (system, demand, fallback_pairs, 0);
+        }
+        sor_obs::warn!(
+            "epoch {epoch}: {} pair(s) disconnected by failures; dropped",
+            unserved.len()
+        );
+        self.emit(JournalEvent::Unserved {
+            epoch,
+            pairs: unserved.len(),
+        });
+        let served = Demand::from_triples(
+            demand
+                .entries()
+                .iter()
+                .filter(|&&(s, t, _)| !unserved.contains(&(s, t)))
+                .copied(),
+        );
+        (system, served, fallback_pairs, unserved.len())
+    }
+
+    /// Solve stage: re-optimize sending rates restricted to the system.
+    /// Returns the routing, per-commodity path weights, congestion and
+    /// the LP lower bound (0 for integral solves).
+    fn solve(
+        &mut self,
+        epoch: u64,
+        system: PathSystem,
+        demand: &Demand,
+    ) -> (SemiObliviousRouting, Vec<Vec<f64>>, f64, f64) {
+        let sor = SemiObliviousRouting::new(self.g.clone(), system);
+        let start = self.telemetry.is_some().then(Instant::now);
+        let integral = self.cfg.integral && demand.is_integral();
+        let (weights, congestion, lower_bound) = if integral {
+            let sol = sor.route_integral(demand, self.cfg.eps, &mut self.rng);
+            let weights: Vec<Vec<f64>> = sol
+                .counts
+                .iter()
+                .map(|c| c.iter().map(|&n| f64::from(n)).collect())
+                .collect();
+            (weights, sol.congestion, 0.0)
+        } else {
+            let sol = sor.route_fractional(demand, self.cfg.eps);
+            (sol.weights, sol.congestion, sol.lower_bound)
+        };
+        if let Some(t0) = start {
+            self.walls.reopt_ns = elapsed_ns(t0);
+        }
+        self.emit(JournalEvent::Reopt {
+            epoch,
+            pairs: demand.support_size(),
+            congestion,
+            lower_bound,
+            integral,
+        });
+        (sor, weights, congestion, lower_bound)
+    }
+
+    /// Route extraction: each served pair's positive-rate paths. Compact
+    /// mode re-encodes the (failure-resolved) system through the verified
+    /// lossless codec and reads the paths back from its tables —
+    /// identical bits by the codec's round-trip guarantee, with the size
+    /// accounting returned alongside.
+    fn extract_routes(
+        &mut self,
+        epoch: u64,
+        sor: &SemiObliviousRouting,
+        demand: &Demand,
+        weights: &[Vec<f64>],
+    ) -> (Vec<PublishedRoute>, Option<CompactStats>) {
+        let compact = (self.cfg.snapshot_format == SnapshotFormat::Compact).then(|| {
+            let _span = sor_obs::span("serve/compact_encode");
+            let tree = self
+                .routing
+                .trees()
+                .first()
+                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
+                .expect("RaeckeRouting::build produces at least one tree");
+            CompactSystem::encode(&self.g, tree, sor.system())
+        });
+        let routes: Vec<PublishedRoute> = demand
+            .entries()
+            .iter()
+            .zip(weights)
+            .map(|(&(s, t, d), w)| {
+                let decoded: Vec<Path>;
+                let paths = match &compact {
+                    Some(cs) => {
+                        decoded = cs.decode_pair(&self.g, s, t);
+                        decoded.as_slice()
+                    }
+                    None => sor.system().paths(s, t),
+                };
+                PublishedRoute {
+                    s,
+                    t,
+                    demand: d,
+                    paths: paths
+                        .iter()
+                        .zip(w)
+                        .filter(|&(_, &rate)| rate > 0.0)
+                        .map(|(p, &rate)| (p.edges().to_vec(), rate))
+                        .collect(),
+                }
+            })
+            .collect();
+        if self.journal.is_some() {
+            self.journal_publication(epoch, &routes);
+        }
+        (routes, compact.as_ref().map(CompactSystem::stats))
+    }
+
+    /// The facts only the flight recorder consumes: the top-k most
+    /// utilized edges of the published assignment and per-pair path churn
+    /// vs. the previous publication. Only called while a journal is
+    /// attached, so these passes cost any other engine nothing.
+    fn journal_publication(&mut self, epoch: u64, routes: &[PublishedRoute]) {
+        // Per-edge loads of the published assignment: rates sum to the
+        // admitted demands, so this is exactly the utilization the epoch
+        // ships.
+        let mut loads = vec![0.0f64; self.g.num_edges()];
+        for r in routes {
+            for (edges, rate) in &r.paths {
+                for e in edges {
+                    if let Some(slot) = loads.get_mut(e.0 as usize) {
+                        *slot += *rate;
+                    }
+                }
+            }
+        }
+        let mut top: Vec<EdgeLoad> = loads
+            .iter()
+            .enumerate()
+            .filter(|&(_, &load)| load > 0.0)
+            .map(|(i, &load)| {
+                let e = EdgeId::from_usize(i);
+                EdgeLoad {
+                    edge: e.0,
+                    load,
+                    utilization: load / self.g.cap(e),
+                }
+            })
+            .collect();
+        top.sort_by(|a, b| {
+            b.utilization
+                .total_cmp(&a.utilization)
+                .then(a.edge.cmp(&b.edge))
+        });
+        top.truncate(TOP_EDGES_K);
+        self.events
+            .push(JournalEvent::TopEdges { epoch, edges: top });
+        // Path churn: fingerprint each pair's published path set and diff
+        // it against the pair's previous publication.
+        for r in routes {
+            let mut fp = FNV_OFFSET;
+            for (edges, _) in &r.paths {
+                fp = fnv1a_u64(fp, edges.len() as u64);
+                for e in edges {
+                    fp = fnv1a_u64(fp, u64::from(e.0));
+                }
+            }
+            let pair = (r.s.0, r.t.0);
+            let churn = match self.pair_fps.insert(pair, fp) {
+                None => Some(true),
+                Some(prev) if prev != fp => Some(false),
+                Some(_) => None,
+            };
+            if let Some(new_pair) = churn {
+                self.events.push(JournalEvent::PathChurn {
+                    epoch,
+                    src: pair.0,
+                    dst: pair.1,
+                    new_pair,
+                });
+            }
+        }
+    }
+
+    /// Publish stage: charge the epoch's cache movement to its snapshot,
+    /// close the epoch's event batch, fold it once, and hand the fold to
+    /// the `serve/*` counters of the current recorder and to the telemetry
+    /// plane (which may report SLO breaches), then the batch to the
+    /// journal.
+    fn publish(&mut self, snap: &mut EpochSnapshot, epoch_wall_ns: u64) {
         // Per-epoch cache counter deltas are part of the published
-        // snapshot regardless of telemetry: the movement is exactly as
+        // snapshot regardless of listeners: the movement is exactly as
         // deterministic as the lifetime counters it differences.
         let stats = self.cache.stats();
         snap.cache = stats.delta_since(&self.last_stats);
         self.last_stats = stats;
-        let epoch_wall_ns = epoch_start.map_or(0, elapsed_ns);
-        if let Some(journal) = &self.journal {
-            if snap.cache.evictions > 0 {
-                journal.record(JournalEvent::CacheEvict {
-                    epoch: snap.epoch,
-                    count: snap.cache.evictions,
-                });
-            }
-            journal.record(JournalEvent::EpochEnd {
+        if snap.cache.evictions > 0 {
+            self.emit(JournalEvent::CacheEvict {
                 epoch: snap.epoch,
-                admitted: snap.admitted,
-                cache_hit: snap.cache_hit,
-                congestion: snap.congestion,
-                fallback_pairs: snap.fallback_pairs,
-                unserved_pairs: snap.unserved_pairs,
-                failed_edges: self.failed.len(),
-                epoch_wall_ns,
+                count: snap.cache.evictions,
             });
         }
-        if let Some(telemetry) = &self.telemetry {
-            let walls = EpochWalls {
-                epoch_ns: epoch_wall_ns,
-                reopt_ns: self.timings.reopt_ns,
-                cache_lookup_ns: self.timings.cache_lookup_ns,
-            };
-            let breaches = telemetry.record_epoch(&snap, self.failed.len(), self.rejected, walls);
-            if !breaches.is_empty() {
-                self.dump_on_breach(snap.epoch, &breaches);
+        self.emit(JournalEvent::EpochEnd {
+            epoch: snap.epoch,
+            admitted: snap.admitted,
+            cache_hit: snap.cache_hit,
+            congestion: snap.congestion,
+            fallback_pairs: snap.fallback_pairs,
+            unserved_pairs: snap.unserved_pairs,
+            failed_edges: self.failed.len(),
+            epoch_wall_ns,
+        });
+        let Some(stats) = fold_epochs(&self.events).pop() else {
+            return;
+        };
+        record_serve_counters(&stats);
+        let breaches = match &self.telemetry {
+            Some(t) => {
+                let mut rec = EpochRecord::from_stats(&stats);
+                // Cache movement from the cache's own counters: exact even
+                // for events no listener saw (a failure before attach).
+                rec.cache_hits = snap.cache.hits;
+                rec.cache_misses = snap.cache.misses;
+                rec.cache_evictions = snap.cache.evictions;
+                rec.cache_invalidations = snap.cache.invalidations;
+                rec.fresh_congestion = snap.fresh_congestion;
+                t.record_epoch(rec, self.walls)
             }
+            None => Vec::new(),
+        };
+        match &self.journal {
+            Some(journal) => journal.append(self.events.drain(..)),
+            None => self.events.clear(),
         }
-        snap
+        if !breaches.is_empty() {
+            self.dump_on_breach(snap.epoch, &breaches);
+        }
     }
 
     /// Breach reaction: snapshot the flight recorder's recent epochs to a
@@ -501,313 +877,6 @@ impl Engine {
                 sor_obs::warn!(
                     "epoch {epoch}: SLO breach ({rules}); journal dump to {path} failed: {e}"
                 );
-            }
-        }
-    }
-
-    fn run_epoch_inner(&mut self) -> EpochSnapshot {
-        let epoch = self.epoch;
-        self.epoch += 1;
-        sor_obs::counter_add!("serve/epochs");
-
-        if let Some(journal) = &self.journal {
-            journal.record(JournalEvent::EpochBegin {
-                epoch,
-                queue_depth: self.queue.len(),
-            });
-            let rejected_delta = self.rejected.saturating_sub(self.journal_prev_rejected);
-            if rejected_delta > 0 {
-                journal.record(JournalEvent::Reject {
-                    epoch,
-                    count: rejected_delta,
-                });
-            }
-            self.journal_prev_rejected = self.rejected;
-        }
-
-        let take = self.cfg.epoch_batch.min(self.queue.len());
-        let admitted: Vec<Request> = self.queue.drain(..take).collect();
-        if let Some(telemetry) = &self.telemetry {
-            // queue-wait percentiles for the admitted batch (enqueue
-            // instants are only mirrored while telemetry is attached)
-            for _ in 0..take.min(self.queue_times.len()) {
-                if let Some(t0) = self.queue_times.pop_front() {
-                    telemetry.observe_queue_wait_ns(elapsed_ns(t0));
-                }
-            }
-        }
-        sor_obs::count_usize("serve/requests_admitted", admitted.len());
-        #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — queue depths are far below 2^52
-        let depth = self.queue.len() as f64;
-        sor_obs::observe_into!("serve/queue_depth", &sor_obs::POW2_BUCKETS, depth);
-        if admitted.is_empty() {
-            return EpochSnapshot::empty(epoch, self.queue.len());
-        }
-
-        let demand = Demand::from_triples(admitted.iter().map(|r| (r.src, r.dst, r.amount)));
-        let pairs = demand_pairs(&demand);
-        if let Some(journal) = &self.journal {
-            journal.record(JournalEvent::Admit {
-                epoch,
-                count: admitted.len(),
-                demand_fp: pairs_fingerprint(&pairs),
-            });
-        }
-        let key = CacheKey::new(&self.g, &pairs, self.cfg.sparsity);
-        let lookup_start = self.telemetry.as_ref().map(|_| Instant::now());
-        let Engine {
-            cache,
-            routing,
-            rng,
-            cfg,
-            ..
-        } = self;
-        let (sampled, cache_hit) = cache.get_or_insert_with(key, cfg.snapshot_format, || {
-            let _span = sor_obs::span("serve/sample");
-            sample_k(routing, &pairs, cfg.sparsity, rng).system
-        });
-        if let Some(t0) = lookup_start {
-            self.timings.cache_lookup_ns = elapsed_ns(t0);
-        }
-        if let Some(journal) = &self.journal {
-            journal.record(if cache_hit {
-                JournalEvent::CacheHit { epoch }
-            } else {
-                JournalEvent::CacheMiss { epoch }
-            });
-        }
-
-        let (system, fallback_pairs, unserved) =
-            resolve_failures(&self.g, &sampled, &self.failed, &pairs);
-        if fallback_pairs > 0 {
-            sor_obs::warn!(
-                "epoch {epoch}: {fallback_pairs} pair(s) lost every cached candidate; \
-                 emergency shortest-path fallback installed"
-            );
-            sor_obs::count_usize("serve/fallback_pairs", fallback_pairs);
-            if let Some(journal) = &self.journal {
-                journal.record(JournalEvent::Fallback {
-                    epoch,
-                    pairs: fallback_pairs,
-                });
-            }
-        }
-        let demand = if unserved.is_empty() {
-            demand
-        } else {
-            sor_obs::warn!(
-                "epoch {epoch}: {} pair(s) disconnected by failures; dropped",
-                unserved.len()
-            );
-            sor_obs::count_usize("serve/unserved_pairs", unserved.len());
-            if let Some(journal) = &self.journal {
-                journal.record(JournalEvent::Unserved {
-                    epoch,
-                    pairs: unserved.len(),
-                });
-            }
-            Demand::from_triples(
-                demand
-                    .entries()
-                    .iter()
-                    .filter(|&&(s, t, _)| !unserved.contains(&(s, t)))
-                    .copied(),
-            )
-        };
-        if demand.support_size() == 0 {
-            let mut snap = EpochSnapshot::empty(epoch, self.queue.len());
-            snap.admitted = admitted.len();
-            snap.cache_hit = cache_hit;
-            snap.unserved_pairs = unserved.len();
-            return snap;
-        }
-
-        let sparsity = system.sparsity();
-        let sor = SemiObliviousRouting::new(self.g.clone(), system);
-        let reopt_start = self.telemetry.as_ref().map(|_| Instant::now());
-        let integral_solve = self.cfg.integral && demand.is_integral();
-        let (weights, congestion, lower_bound) = if integral_solve {
-            let sol = sor.route_integral(&demand, self.cfg.eps, &mut self.rng);
-            let weights: Vec<Vec<f64>> = sol
-                .counts
-                .iter()
-                .map(|c| c.iter().map(|&n| f64::from(n)).collect())
-                .collect();
-            (weights, sol.congestion, 0.0)
-        } else {
-            let sol = sor.route_fractional(&demand, self.cfg.eps);
-            (sol.weights, sol.congestion, sol.lower_bound)
-        };
-        if let Some(t0) = reopt_start {
-            self.timings.reopt_ns = elapsed_ns(t0);
-        }
-
-        // Compact mode: re-encode the epoch's (failure-resolved) system
-        // through the verified lossless codec and publish the *decoded*
-        // routes — identical bits by the codec's round-trip guarantee,
-        // with the size accounting recorded on the snapshot.
-        let compact = (self.cfg.snapshot_format == SnapshotFormat::Compact).then(|| {
-            let _span = sor_obs::span("serve/compact_encode");
-            let tree = self
-                .routing
-                .trees()
-                .first()
-                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                .expect("RaeckeRouting::build produces at least one tree");
-            CompactSystem::encode(&self.g, tree, sor.system())
-        });
-
-        // Publish: per-commodity route extraction (rayon; the vendored
-        // stand-in runs it sequentially, deterministically).
-        let routes: Vec<PublishedRoute> = match &compact {
-            Some(cs) => demand
-                .entries()
-                .iter()
-                .zip(weights.iter())
-                .map(|(&(s, t, d), w)| PublishedRoute {
-                    s,
-                    t,
-                    demand: d,
-                    paths: cs
-                        .decode_pair(&self.g, s, t)
-                        .iter()
-                        .zip(w.iter())
-                        .filter(|&(_, &rate)| rate > 0.0)
-                        .map(|(p, &rate)| (p.edges().to_vec(), rate))
-                        .collect(),
-                })
-                .collect(),
-            None => demand
-                .entries()
-                .par_iter()
-                .zip(weights.par_iter())
-                .map(|(&(s, t, d), w)| PublishedRoute {
-                    s,
-                    t,
-                    demand: d,
-                    paths: sor
-                        .system()
-                        .paths(s, t)
-                        .par_iter()
-                        .zip(w.par_iter())
-                        .filter(|&(_, &rate)| rate > 0.0)
-                        .map(|(p, &rate)| (p.edges().to_vec(), rate))
-                        .collect(),
-                })
-                .collect(),
-        };
-
-        if self.journal.is_some() {
-            self.journal_solve_events(
-                epoch,
-                &demand,
-                &routes,
-                congestion,
-                lower_bound,
-                integral_solve,
-            );
-        }
-
-        let snap = EpochSnapshot {
-            epoch,
-            admitted: admitted.len(),
-            cache_hit,
-            congestion,
-            lower_bound,
-            fallback_pairs,
-            unserved_pairs: unserved.len(),
-            queue_depth: self.queue.len(),
-            sparsity,
-            fresh_congestion: None,
-            cache: CacheDeltas::default(),
-            routes,
-            compact: compact.as_ref().map(CompactSystem::stats),
-        };
-        self.last = Some(sor);
-        snap
-    }
-
-    /// Journal the solve's outcome: the re-opt summary, the top-k most
-    /// utilized edges of the published assignment, and per-pair path
-    /// churn vs. the previous publication. Only called while a journal is
-    /// attached, so the load/fingerprint passes cost a detached engine
-    /// nothing.
-    fn journal_solve_events(
-        &mut self,
-        epoch: u64,
-        demand: &Demand,
-        routes: &[PublishedRoute],
-        congestion: f64,
-        lower_bound: f64,
-        integral: bool,
-    ) {
-        let Some(journal) = &self.journal else {
-            return;
-        };
-        journal.record(JournalEvent::Reopt {
-            epoch,
-            pairs: demand.support_size(),
-            congestion,
-            lower_bound,
-            integral,
-        });
-        // Per-edge loads of the published assignment: rates sum to the
-        // admitted demands, so this is exactly the utilization the epoch
-        // ships.
-        let mut loads = vec![0.0f64; self.g.num_edges()];
-        for r in routes {
-            for (edges, rate) in &r.paths {
-                for e in edges {
-                    if let Some(slot) = loads.get_mut(e.0 as usize) {
-                        *slot += *rate;
-                    }
-                }
-            }
-        }
-        let mut top: Vec<EdgeLoad> = loads
-            .iter()
-            .enumerate()
-            .filter(|&(_, &load)| load > 0.0)
-            .map(|(i, &load)| {
-                let e = EdgeId::from_usize(i);
-                EdgeLoad {
-                    edge: e.0,
-                    load,
-                    utilization: load / self.g.cap(e),
-                }
-            })
-            .collect();
-        top.sort_by(|a, b| {
-            b.utilization
-                .total_cmp(&a.utilization)
-                .then(a.edge.cmp(&b.edge))
-        });
-        top.truncate(TOP_EDGES_K);
-        journal.record(JournalEvent::TopEdges { epoch, edges: top });
-        // Path churn: fingerprint each pair's published path set and diff
-        // it against the pair's previous publication.
-        for r in routes {
-            let mut fp = FNV_OFFSET;
-            for (edges, _) in &r.paths {
-                fp = fnv1a_u64(fp, edges.len() as u64);
-                for e in edges {
-                    fp = fnv1a_u64(fp, u64::from(e.0));
-                }
-            }
-            let pair = (r.s.0, r.t.0);
-            let churn = match self.pair_fps.insert(pair, fp) {
-                None => Some(true),
-                Some(prev) if prev != fp => Some(false),
-                Some(_) => None,
-            };
-            if let Some(new_pair) = churn {
-                journal.record(JournalEvent::PathChurn {
-                    epoch,
-                    src: pair.0,
-                    dst: pair.1,
-                    new_pair,
-                });
             }
         }
     }
@@ -877,6 +946,35 @@ impl Engine {
     }
 }
 
+/// The current recorder's `serve/*` counters and queue-depth histogram
+/// for one folded epoch (no-op without a recorder). Counts that stayed
+/// zero are not touched, so a run registers only what happened. The
+/// cache's own counters are recorded by the cache, which also serves
+/// direct callers.
+fn record_serve_counters(s: &EpochStats) {
+    if !sor_obs::enabled() {
+        return;
+    }
+    sor_obs::count("serve/epochs", 1);
+    sor_obs::count_usize("serve/requests_admitted", s.admitted);
+    if s.rejected > 0 {
+        sor_obs::count("serve/requests_rejected", s.rejected);
+    }
+    for (name, n) in [
+        ("serve/edge_failures", s.edge_failures),
+        ("serve/fallback_pairs", s.fallback_pairs),
+        ("serve/unserved_pairs", s.unserved_pairs),
+    ] {
+        if n > 0 {
+            sor_obs::count_usize(name, n);
+        }
+    }
+    #[allow(clippy::cast_precision_loss)]
+    // sor-check: allow(lossy-cast) — queue depths are far below 2^52
+    let depth = s.queue_depth as f64;
+    sor_obs::observe("serve/queue_depth", &sor_obs::POW2_BUCKETS, depth);
+}
+
 /// Saturating nanoseconds since `t0` (u64 holds ~584 years).
 fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -935,6 +1033,19 @@ mod tests {
                 ..EngineConfig::default()
             },
         )
+    }
+
+    /// A 6-cycle: every pair has exactly two simple paths, so one failed
+    /// edge forces a known invalidation.
+    fn cycle_engine() -> Engine {
+        let cfg = EngineConfig {
+            sparsity: 4,
+            trees: 3,
+            epoch_batch: 4,
+            seed: 5,
+            ..EngineConfig::default()
+        };
+        Engine::new(gen::cycle_graph(6), cfg)
     }
 
     #[test]
@@ -1015,17 +1126,7 @@ mod tests {
 
     #[test]
     fn failures_invalidate_and_fall_back() {
-        let g = gen::cycle_graph(6);
-        let mut eng = Engine::new(
-            g,
-            EngineConfig {
-                sparsity: 4,
-                trees: 3,
-                epoch_batch: 4,
-                seed: 5,
-                ..EngineConfig::default()
-            },
-        );
+        let mut eng = cycle_engine();
         eng.ingest(Request::unit(NodeId(0), NodeId(3)));
         let warm = eng.run_epoch();
         assert!(!warm.cache_hit);
@@ -1034,12 +1135,18 @@ mod tests {
         let invalidated = eng.fail_edges(&[EdgeId(0)]);
         assert_eq!(invalidated, 1);
         assert_eq!(eng.failed_edges(), &[EdgeId(0)]);
+        // telemetry attached after the failure, which no one heard
+        let telemetry = Arc::new(ServeTelemetry::default());
+        eng.attach_telemetry(Arc::clone(&telemetry));
         eng.ingest(Request::unit(NodeId(0), NodeId(3)));
         let degraded = eng.run_epoch();
         assert!(!degraded.cache_hit, "invalidated entry cannot hit");
-        // the inter-epoch invalidation lands in this epoch's deltas
+        // the inter-epoch invalidation lands in this epoch's deltas, and
+        // the timeline record carries them exactly
         assert_eq!(degraded.cache.invalidations, 1);
         assert_eq!(degraded.cache.misses, 1);
+        let record = &telemetry.timeline().records()[0];
+        assert_eq!((record.cache_invalidations, record.cache_misses), (1, 1));
         assert!(degraded.congestion > 0.0);
         // every published route avoids the failed edge
         for r in &degraded.routes {
@@ -1101,17 +1208,7 @@ mod tests {
 
     #[test]
     fn journal_records_failures_and_restores() {
-        let g = gen::cycle_graph(6);
-        let mut eng = Engine::new(
-            g,
-            EngineConfig {
-                sparsity: 4,
-                trees: 3,
-                epoch_batch: 4,
-                seed: 5,
-                ..EngineConfig::default()
-            },
-        );
+        let mut eng = cycle_engine();
         let journal = Arc::new(Journal::new());
         eng.attach_journal(Arc::clone(&journal));
         eng.ingest(Request::unit(NodeId(0), NodeId(3)));
@@ -1120,6 +1217,12 @@ mod tests {
         eng.ingest(Request::unit(NodeId(0), NodeId(3)));
         eng.run_epoch();
         eng.restore_all();
+        // inter-epoch events travel with the epoch they are tagged with
+        assert!(!journal
+            .events()
+            .iter()
+            .any(|(_, e)| matches!(e, JournalEvent::EdgeRestore { .. })));
+        eng.run_epoch();
         let events = journal.events();
         let fail = events
             .iter()
@@ -1136,10 +1239,14 @@ mod tests {
             "invalidation journaled"
         );
         assert!(
-            events
-                .iter()
-                .any(|(_, e)| matches!(e, JournalEvent::EdgeRestore { restored: 1, .. })),
-            "restore journaled"
+            events.iter().any(|(_, e)| matches!(
+                e,
+                JournalEvent::EdgeRestore {
+                    epoch: 2,
+                    restored: 1
+                }
+            )),
+            "restore journaled with the epoch it affects"
         );
         // the degraded epoch's summary carries the live failure count
         assert!(events.iter().any(|(_, e)| matches!(

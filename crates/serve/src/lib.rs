@@ -25,15 +25,16 @@
 //!   Prometheus-style scrape endpoint (`sor serve --telemetry-addr`).
 //!
 //! On top of telemetry sits the flight recorder: an attached
-//! `sor_obs::Journal` receives a causal event for every lifecycle step
-//! (admissions, cache movement, failures, fallbacks, re-opt summaries,
-//! top-k edge loads, path churn), and an armed
-//! [`engine::BreachDumpConfig`] snapshots the ring to disk whenever an
-//! epoch trips an SLO rule — the artifact `sor forensics` ingests.
+//! `sor_obs::Journal` appends each epoch's causal events (admissions,
+//! cache movement, failures, fallbacks, re-opt summaries, top-k edge
+//! loads, path churn) — the same batch the telemetry plane and the
+//! `serve/*` counters fold — and an armed [`engine::BreachDumpConfig`]
+//! snapshots the ring to disk whenever an epoch trips an SLO rule — the
+//! artifact `sor forensics` ingests.
 //!
-//! Everything is bit-deterministic for a fixed seed, with or without
-//! `sor-obs` capture, telemetry, *or* the journal attached — the engine
-//! sits under the repo's perf gate.
+//! Everything is bit-deterministic for a fixed seed, with or without a
+//! `sor_obs::Recorder`, telemetry, *or* the journal attached — the
+//! engine sits under the repo's perf gate.
 
 #![forbid(unsafe_code)]
 
@@ -46,10 +47,11 @@ pub use cache::{
     graph_fingerprint, pairs_fingerprint, CacheDeltas, CacheKey, CacheStats, PathSystemCache,
 };
 pub use engine::{
-    BreachDumpConfig, Engine, EngineConfig, EpochSnapshot, PublishedRoute, Request, SnapshotFormat,
+    BreachDumpConfig, ConfigError, Engine, EngineConfig, EpochSnapshot, PublishedRoute, Request,
+    SnapshotFormat,
 };
 pub use telemetry::{EpochWalls, ServeTelemetry};
 pub use workload::{
     matching_patterns, run_workload, run_workload_with_observers, run_workload_with_patterns,
-    run_workload_with_telemetry, scenario_patterns, ServeObservers, WorkloadConfig, WorkloadReport,
+    scenario_patterns, ServeObservers, WorkloadConfig, WorkloadReport,
 };

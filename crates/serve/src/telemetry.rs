@@ -2,33 +2,32 @@
 //! SLO watchdog, and the scrape endpoint — wired together.
 //!
 //! One [`ServeTelemetry`] instance is shared (`Arc`) between the engine
-//! (which calls [`ServeTelemetry::record_epoch`] once per published
-//! epoch) and the scrape thread (which renders `/metrics`, `/timeline`,
-//! `/health` on demand). Recording is cheap — four log-histogram
-//! observations, one window tick over the registry snapshot, one ring
-//! push, one watchdog pass — and strictly read-only over the epoch's
-//! outputs: attaching telemetry cannot change a published route or rate
-//! (`serve_determinism.rs` asserts bit-equality either way).
+//! (which hands [`ServeTelemetry::record_epoch`] each epoch's record,
+//! folded from the epoch's event batch)
+//! and the scrape thread (which renders `/metrics`, `/timeline`,
+//! `/health` on demand). Recording is cheap — a few log-histogram
+//! observations, one window tick over the bound
+//! recorder, one ring push, one watchdog pass — and strictly read-only
+//! over the epoch's outputs: attaching telemetry cannot change a
+//! published route or rate (`serve_determinism.rs` asserts bit-equality
+//! either way).
 //!
 //! The *window tick is the epoch counter*, not wall time: windows are
 //! "per epoch" rates, so seeded runs produce identical window contents
 //! (walls are the one exception and never feed anything deterministic).
 
-use crate::engine::EpochSnapshot;
-use parking_lot::Mutex;
 use sor_obs::{
-    EpochRecord, EpochTimeline, LogHistogram, PromGauges, SloBreach, SloConfig, SloInputs,
-    SloWatchdog, TelemetryHandler, TelemetryServer, WindowRegistry,
+    EpochRecord, EpochTimeline, LogHistogram, PromGauges, Recorder, SloBreach, SloConfig,
+    SloInputs, SloWatchdog, Snapshot, TelemetryHandler, TelemetryServer, WindowRegistry,
 };
 use std::net::ToSocketAddrs;
 use std::sync::Arc;
 
-/// Wall clocks the engine hands to [`ServeTelemetry::record_epoch`]
-/// (nanoseconds; zero when a phase did not run).
+/// Stage wall clocks the engine hands to [`ServeTelemetry::record_epoch`]
+/// (nanoseconds; zero when a stage did not run). The epoch's own wall
+/// travels in its `EpochEnd` event.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EpochWalls {
-    /// Whole `run_epoch` call.
-    pub epoch_ns: u64,
     /// The rate re-optimization (MWU / integral solve).
     pub reopt_ns: u64,
     /// The path-system cache lookup (including a miss's sampling).
@@ -42,6 +41,9 @@ const HIT_RATE_WINDOW: usize = 10;
 /// [`SloConfig`], share via `Arc`, attach to an engine with
 /// [`crate::Engine::attach_telemetry`].
 pub struct ServeTelemetry {
+    /// The recorder whose metrics the windows tick over and `/metrics`
+    /// exposes: the one current on the constructing thread, if any.
+    recorder: Option<Recorder>,
     windows: WindowRegistry,
     timeline: EpochTimeline,
     watchdog: SloWatchdog,
@@ -49,7 +51,6 @@ pub struct ServeTelemetry {
     reopt_wall: LogHistogram,
     cache_lookup: LogHistogram,
     queue_wait: LogHistogram,
-    prev_rejected: Mutex<u64>,
 }
 
 impl Default for ServeTelemetry {
@@ -60,9 +61,12 @@ impl Default for ServeTelemetry {
 
 impl ServeTelemetry {
     /// Telemetry plane with the given SLO thresholds (use
-    /// [`SloConfig::disabled`] for pure observation).
+    /// [`SloConfig::disabled`] for pure observation), bound to the
+    /// calling thread's current [`Recorder`]. Without one, windows tick
+    /// over no metrics and `/metrics` carries only the plane's gauges.
     pub fn new(slo: SloConfig) -> Self {
         ServeTelemetry {
+            recorder: Recorder::current(),
             windows: WindowRegistry::new(),
             timeline: EpochTimeline::new(),
             watchdog: SloWatchdog::new(slo),
@@ -70,7 +74,6 @@ impl ServeTelemetry {
             reopt_wall: LogHistogram::new(),
             cache_lookup: LogHistogram::new(),
             queue_wait: LogHistogram::new(),
-            prev_rejected: Mutex::new(0),
         }
     }
 
@@ -81,23 +84,23 @@ impl ServeTelemetry {
         self.queue_wait.observe(ns as f64);
     }
 
-    /// Ingest one published epoch: observe walls, tick the window
+    /// The bound recorder's counters and histograms (empty without one).
+    fn recorded(&self) -> Snapshot {
+        self.recorder
+            .as_ref()
+            .map_or_else(Snapshot::default, Recorder::metrics_snapshot)
+    }
+
+    /// Ingest one published epoch's record (see
+    /// [`EpochRecord::from_stats`]): observe walls, tick the window
     /// registry (the deterministic per-epoch tick), evaluate the SLO
-    /// watchdog, and append the timeline record. Called by the engine;
-    /// `rejected_total` is the engine's lifetime rejection counter (the
-    /// per-epoch delta is computed here). Returns the epoch's SLO
-    /// breaches so the caller can react (e.g. dump the flight recorder).
-    pub fn record_epoch(
-        &self,
-        snap: &EpochSnapshot,
-        failed_edges: usize,
-        rejected_total: u64,
-        walls: EpochWalls,
-    ) -> Vec<SloBreach> {
+    /// watchdog, and append the record. Returns the epoch's SLO breaches
+    /// so the caller can react (e.g. dump the flight recorder).
+    pub fn record_epoch(&self, mut rec: EpochRecord, walls: EpochWalls) -> Vec<SloBreach> {
         #[allow(clippy::cast_precision_loss)]
         // sor-check: allow(lossy-cast) — wall clocks are approximate by nature
         {
-            self.epoch_wall.observe(walls.epoch_ns as f64);
+            self.epoch_wall.observe(rec.epoch_wall_ns as f64);
             if walls.reopt_ns > 0 {
                 self.reopt_wall.observe(walls.reopt_ns as f64);
             }
@@ -105,31 +108,7 @@ impl ServeTelemetry {
                 self.cache_lookup.observe(walls.cache_lookup_ns as f64);
             }
         }
-        let rejected = {
-            let mut prev = self.prev_rejected.lock();
-            let delta = rejected_total.saturating_sub(*prev);
-            *prev = rejected_total;
-            delta
-        };
-        self.windows.tick(&sor_obs::snapshot());
-        let mut rec = EpochRecord {
-            epoch: snap.epoch,
-            admitted: snap.admitted,
-            rejected,
-            cache_hit: snap.cache_hit,
-            cache_hits: snap.cache.hits,
-            cache_misses: snap.cache.misses,
-            cache_evictions: snap.cache.evictions,
-            cache_invalidations: snap.cache.invalidations,
-            congestion: snap.congestion,
-            fresh_congestion: snap.fresh_congestion,
-            fallback_pairs: snap.fallback_pairs,
-            unserved_pairs: snap.unserved_pairs,
-            queue_depth: snap.queue_depth,
-            failed_edges,
-            epoch_wall_ns: walls.epoch_ns,
-            slo_breaches: Vec::new(),
-        };
+        self.windows.tick(&self.recorded());
         let inputs = SloInputs {
             p99_epoch_wall_ms: self.epoch_wall.quantile(0.99).map(|ns| ns / 1e6),
             cache_hit_rate: self.windowed_hit_rate(&rec),
@@ -175,8 +154,8 @@ impl ServeTelemetry {
         &self.windows
     }
 
-    /// Render the Prometheus text exposition: the full registry snapshot
-    /// plus gauges for window rates, streaming tail percentiles, and the
+    /// Render the Prometheus text exposition: the bound recorder's
+    /// metrics plus gauges for window rates, streaming tail percentiles, and the
     /// SLO health counters.
     pub fn render_prometheus(&self) -> String {
         let mut gauges = PromGauges::new();
@@ -208,7 +187,7 @@ impl ServeTelemetry {
                 gauges.push("slo/breaches", &format!("rule=\"{rule}\""), count as f64);
             }
         }
-        sor_obs::render_prometheus(&sor_obs::snapshot(), &gauges)
+        sor_obs::render_prometheus(&self.recorded(), &gauges)
     }
 
     /// Start the scrape endpoint on `addr` (`127.0.0.1:0` binds an
@@ -243,55 +222,42 @@ impl TelemetryHandler for ServeTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheDeltas;
 
-    fn snap(epoch: u64, hit: bool) -> EpochSnapshot {
-        let mut s = EpochSnapshot {
+    /// One served epoch: 4 admitted, the queue drained, a cache hit or
+    /// miss, `rejected` backpressure rejections since the last epoch,
+    /// published congestion 2.0 against a fresh baseline of 1.0.
+    fn record(epoch: u64, hit: bool, rejected: u64, epoch_wall_ns: u64) -> EpochRecord {
+        EpochRecord {
             epoch,
             admitted: 4,
+            rejected,
             cache_hit: hit,
+            cache_hits: u64::from(hit),
+            cache_misses: u64::from(!hit),
             congestion: 2.0,
-            lower_bound: 1.0,
-            fallback_pairs: 0,
-            unserved_pairs: 0,
-            queue_depth: 0,
-            sparsity: 2,
             fresh_congestion: Some(1.0),
-            cache: CacheDeltas::default(),
-            routes: Vec::new(),
-            compact: None,
-        };
-        if hit {
-            s.cache.hits = 1;
-        } else {
-            s.cache.misses = 1;
+            epoch_wall_ns,
+            ..EpochRecord::default()
         }
-        s
     }
 
     #[test]
     fn record_epoch_builds_timeline_and_hit_rate() {
         let t = ServeTelemetry::new(SloConfig::disabled());
-        t.record_epoch(&snap(0, false), 0, 0, EpochWalls::default());
+        t.record_epoch(record(0, false, 0, 0), EpochWalls::default());
+        let walls = EpochWalls {
+            reopt_ns: 400_000,
+            cache_lookup_ns: 10_000,
+        };
         for e in 1..5 {
-            t.record_epoch(
-                &snap(e, true),
-                0,
-                e, // rejected total grows by 1 per epoch
-                EpochWalls {
-                    epoch_ns: 1_000_000,
-                    reopt_ns: 400_000,
-                    cache_lookup_ns: 10_000,
-                },
-            );
+            t.record_epoch(record(e, true, 1, 1_000_000), walls);
         }
         assert_eq!(t.timeline().len(), 5);
         let records = t.timeline().records();
         assert_eq!(records[0].rejected, 0);
-        assert!(
-            records[1..].iter().all(|r| r.rejected == 1),
-            "deltas, not totals"
-        );
+        assert!(records[1..].iter().all(|r| r.rejected == 1));
+        assert_eq!((records[0].cache_misses, records[4].cache_hits), (1, 1));
+        assert_eq!(records[4].epoch_wall_ns, 1_000_000);
         // 1 miss + 4 hits
         let rate = t.windowed_hit_rate(&records[4]).expect("lookups happened");
         assert!(rate > 0.5, "mostly hits: {rate}");
@@ -305,7 +271,7 @@ mod tests {
             ..SloConfig::disabled()
         });
         // congestion 2.0 vs fresh 1.0 → ratio 2.0 > 1.5
-        t.record_epoch(&snap(0, false), 0, 0, EpochWalls::default());
+        t.record_epoch(record(0, false, 0, 0), EpochWalls::default());
         let records = t.timeline().records();
         assert_eq!(records[0].slo_breaches, vec!["max_congestion_ratio"]);
         let health = t.watchdog().summary();
@@ -315,19 +281,22 @@ mod tests {
 
     #[test]
     fn exposition_includes_percentiles_and_slo_gauges() {
+        let rec = Recorder::new();
+        let _scope = rec.install();
         let t = ServeTelemetry::new(SloConfig::serving_defaults());
+        sor_obs::count("serve/epochs", 1);
         t.observe_queue_wait_ns(5_000);
-        t.record_epoch(
-            &snap(0, false),
-            0,
-            0,
-            EpochWalls {
-                epoch_ns: 2_000_000,
-                reopt_ns: 900_000,
-                cache_lookup_ns: 50_000,
-            },
-        );
+        let walls = EpochWalls {
+            reopt_ns: 900_000,
+            cache_lookup_ns: 50_000,
+        };
+        t.record_epoch(record(0, false, 0, 2_000_000), walls);
         let text = t.metrics();
+        assert!(
+            text.contains("sor_serve_epochs 1"),
+            "bound recorder exposed"
+        );
+        assert!(text.contains("sor_serve_epochs_rate{window=\"1\"} 1"));
         assert!(text.contains("sor_serve_epoch_wall_ns{quantile=\"0.99\"}"));
         assert!(text.contains("sor_serve_queue_wait_ns{quantile=\"0.5\"}"));
         assert!(text.contains("sor_slo_epochs_evaluated 1"));

@@ -70,16 +70,6 @@ pub struct ServeObservers {
     pub breach_dump: Option<BreachDumpConfig>,
 }
 
-impl ServeObservers {
-    /// Telemetry only — the pre-flight-recorder observation setup.
-    pub fn telemetry(t: Arc<ServeTelemetry>) -> Self {
-        ServeObservers {
-            telemetry: Some(t),
-            ..ServeObservers::default()
-        }
-    }
-}
-
 /// What a closed-loop run produced.
 #[derive(Clone, Debug)]
 pub struct WorkloadReport {
@@ -204,27 +194,7 @@ pub fn scenario_patterns<R: Rng>(
 
 /// Run the closed loop with a [`matching_patterns`] pool.
 pub fn run_workload(g: &Graph, ecfg: EngineConfig, wcfg: &WorkloadConfig) -> WorkloadReport {
-    run_workload_with_telemetry(g, ecfg, wcfg, None)
-}
-
-/// [`run_workload`] with a live telemetry plane attached to the engine.
-/// Telemetry never changes the report (bit-identical snapshots either
-/// way); it only populates windows/timeline/SLO state as epochs run.
-pub fn run_workload_with_telemetry(
-    g: &Graph,
-    ecfg: EngineConfig,
-    wcfg: &WorkloadConfig,
-    telemetry: Option<Arc<ServeTelemetry>>,
-) -> WorkloadReport {
-    run_workload_with_observers(
-        g,
-        ecfg,
-        wcfg,
-        ServeObservers {
-            telemetry,
-            ..ServeObservers::default()
-        },
-    )
+    run_workload_with_observers(g, ecfg, wcfg, ServeObservers::default())
 }
 
 /// [`run_workload`] with any combination of observation planes attached

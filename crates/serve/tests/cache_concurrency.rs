@@ -8,9 +8,8 @@
 //! The vendored `rayon` is a sequential stand-in, so real concurrency
 //! comes from `std::thread::scope` (mirroring
 //! `crates/obs/tests/concurrency.rs`). The cache itself is per-instance
-//! state — no process-global registry — so the tests here need no
-//! serialization lock; `sor-obs` capture stays disabled (its default)
-//! so the obs-side counters are out of the picture.
+//! state, so the tests here need no serialization lock; no recorder is
+//! installed, so the obs-side counters are out of the picture.
 
 use sor_core::PathSystem;
 use sor_graph::{bfs_path, gen, EdgeId, NodeId};

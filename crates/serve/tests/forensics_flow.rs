@@ -9,7 +9,6 @@ use sor_graph::gen;
 use sor_obs::{
     fold_epochs, Cause, CauseAttribution, EdgeShift, EpochStats, EpochTransition, ForensicsReport,
     Journal, JournalDump, JournalEvent, SloConfig, CAUSES, DEFAULT_JOURNAL_CAPACITY,
-    JOURNAL_SHARDS,
 };
 use sor_serve::{
     run_workload_with_observers, BreachDumpConfig, EngineConfig, ServeObservers, ServeTelemetry,
@@ -112,7 +111,7 @@ fn breach_dump_and_forensics_attribute_injected_failure() {
     // This short run fits comfortably inside the ring: nothing dropped.
     let events: Vec<JournalEvent> = journal.events().into_iter().map(|(_, e)| e).collect();
     assert!(
-        events.len() as u64 <= (JOURNAL_SHARDS * DEFAULT_JOURNAL_CAPACITY) as u64,
+        events.len() <= DEFAULT_JOURNAL_CAPACITY,
         "run must fit in the default ring"
     );
     assert_eq!(journal.dropped(), 0, "no eviction in a fitting run");

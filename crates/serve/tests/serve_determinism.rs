@@ -3,29 +3,22 @@
 //!
 //! Mirrors `tests/obs_determinism.rs` at the umbrella level: the full
 //! closed-loop workload (arrival process, epoch solves, failure
-//! schedule, recovery) runs twice with metric/span capture off and once
-//! with it on, and every published snapshot — routes, rates, congestion
-//! bits, cache/fallback accounting — must be identical across all three.
+//! schedule, recovery) runs twice without a recorder and once with one,
+//! and every published snapshot — routes, rates, congestion bits,
+//! cache/fallback accounting — must be identical across all three.
 //!
-//! The tests share the process-global metrics registry, so they
-//! serialize on a local mutex.
+//! Each test owns its recorders, so the tests run in parallel.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sor_graph::gen;
-use sor_obs::{Journal, JournalEvent, SloConfig};
+use sor_obs::{Journal, JournalEvent, Recorder, SloConfig, Snapshot};
 use sor_serve::{
-    run_workload, run_workload_with_observers, EngineConfig, EpochSnapshot, ServeObservers,
-    ServeTelemetry, SnapshotFormat, WorkloadConfig, WorkloadReport,
+    run_workload_with_observers, EngineConfig, EpochSnapshot, ServeObservers, ServeTelemetry,
+    SnapshotFormat, WorkloadConfig, WorkloadReport,
 };
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::{Arc, Barrier};
+use std::thread;
 
 fn run_once() -> WorkloadReport {
     run_once_with(None)
@@ -64,14 +57,7 @@ fn run_once_formatted(format: SnapshotFormat, observers: ServeObservers) -> Work
         restore_after: 2,
         seed: 7,
     };
-    if observers.telemetry.is_none()
-        && observers.journal.is_none()
-        && observers.breach_dump.is_none()
-    {
-        run_workload(&g, ecfg, &wcfg)
-    } else {
-        run_workload_with_observers(&g, ecfg, &wcfg, observers)
-    }
+    run_workload_with_observers(&g, ecfg, &wcfg, observers)
 }
 
 /// Everything a run decides, with floats pinned to their bit patterns
@@ -124,11 +110,19 @@ fn bits(report: &WorkloadReport) -> RunBits {
     }
 }
 
+/// Run `f` with a fresh recorder installed; return its result and the
+/// recorder's snapshot.
+fn recorded<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
+    let rec = Recorder::new();
+    let out = {
+        let _scope = rec.install();
+        f()
+    };
+    (out, rec.snapshot())
+}
+
 #[test]
 fn same_seed_same_snapshots() {
-    let _guard = serial();
-    sor_obs::set_enabled(false);
-    sor_obs::reset();
     let a = run_once();
     let b = run_once();
     assert_eq!(bits(&a), bits(&b), "two runs with the same seed diverged");
@@ -136,14 +130,8 @@ fn same_seed_same_snapshots() {
 
 #[test]
 fn capture_does_not_change_published_routes() {
-    let _guard = serial();
-    sor_obs::set_enabled(false);
-    sor_obs::reset();
     let plain = run_once();
-    sor_obs::set_enabled(true);
-    sor_obs::reset();
-    let instrumented = run_once();
-    sor_obs::set_enabled(false);
+    let (instrumented, _) = recorded(run_once);
     assert_eq!(
         bits(&plain),
         bits(&instrumented),
@@ -153,12 +141,7 @@ fn capture_does_not_change_published_routes() {
 
 #[test]
 fn instrumented_run_records_serve_metrics() {
-    let _guard = serial();
-    sor_obs::set_enabled(true);
-    sor_obs::reset();
-    let report = run_once();
-    let snap = sor_obs::snapshot();
-    sor_obs::set_enabled(false);
+    let (report, snap) = recorded(run_once);
 
     let counter = |name: &str| {
         snap.counters
@@ -169,6 +152,9 @@ fn instrumented_run_records_serve_metrics() {
     assert_eq!(counter("serve/cache_hits"), report.cache.hits);
     assert_eq!(counter("serve/cache_misses"), report.cache.misses);
     assert_eq!(counter("serve/requests_admitted"), report.admitted as u64);
+    assert_eq!(counter("serve/epochs"), report.snapshots.len() as u64);
+    assert_eq!(counter("serve/requests_rejected"), report.rejected);
+    assert_eq!(counter("serve/edge_failures"), report.failures.len() as u64);
     let depth = snap
         .histograms
         .iter()
@@ -185,19 +171,17 @@ fn instrumented_run_records_serve_metrics() {
 
 #[test]
 fn telemetry_plane_does_not_change_published_routes() {
-    let _guard = serial();
-    sor_obs::set_enabled(false);
-    sor_obs::reset();
     let plain = run_once();
 
     // full plane attached: armed SLO watchdog, windows, timeline, wall
     // histograms — everything wall-clock-dependent stays off the
     // published path, so the snapshots are still bit-identical
-    sor_obs::set_enabled(true);
-    sor_obs::reset();
-    let telemetry = Arc::new(ServeTelemetry::new(SloConfig::serving_defaults()));
-    let instrumented = run_once_with(Some(Arc::clone(&telemetry)));
-    sor_obs::set_enabled(false);
+    let (telemetry, instrumented) = recorded(|| {
+        let telemetry = Arc::new(ServeTelemetry::new(SloConfig::serving_defaults()));
+        let report = run_once_with(Some(Arc::clone(&telemetry)));
+        (telemetry, report)
+    })
+    .0;
 
     assert_eq!(
         bits(&plain),
@@ -214,9 +198,6 @@ fn telemetry_plane_does_not_change_published_routes() {
 
 #[test]
 fn compact_snapshots_publish_identical_routes() {
-    let _guard = serial();
-    sor_obs::set_enabled(false);
-    sor_obs::reset();
     let explicit = run_once();
     let compact = run_once_formatted(SnapshotFormat::Compact, ServeObservers::default());
 
@@ -262,9 +243,6 @@ fn compact_snapshots_publish_identical_routes() {
 
 #[test]
 fn flight_recorder_does_not_change_published_routes() {
-    let _guard = serial();
-    sor_obs::set_enabled(false);
-    sor_obs::reset();
     let plain = run_once();
 
     let journal = Arc::new(Journal::new());
@@ -309,4 +287,41 @@ fn flight_recorder_does_not_change_published_routes() {
     let dump = journal.dump_json(&[("source", "serve_determinism")]);
     let parsed = sor_obs::parse_journal(&dump).expect("journal dump parses");
     assert_eq!(parsed.events.len(), events.len());
+}
+
+/// The metrics a run records, with wall times zeroed: counters,
+/// histograms, and the span tree's shape and call counts.
+fn work(mut snap: Snapshot) -> Snapshot {
+    for span in &mut snap.spans {
+        span.total_ns = 0;
+        span.self_ns = 0;
+    }
+    snap
+}
+
+#[test]
+fn concurrent_runs_under_their_own_recorders_match_a_solo_run() {
+    let (_, solo) = recorded(run_once);
+    let solo = work(solo);
+    assert!(solo.num_metrics() > 0 && !solo.spans.is_empty());
+    let start = Barrier::new(2);
+    let runs: Vec<Snapshot> = thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait(); // both runs overlap from their first epoch
+                    work(recorded(run_once).1)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("run thread"))
+            .collect()
+    });
+    for snap in runs {
+        assert_eq!(snap.counters, solo.counters);
+        assert_eq!(snap.histograms, solo.histograms);
+        assert_eq!(snap.spans, solo.spans);
+    }
 }

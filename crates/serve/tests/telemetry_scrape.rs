@@ -10,22 +10,20 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sor_graph::gen;
-use sor_obs::SloConfig;
-use sor_serve::{run_workload_with_telemetry, EngineConfig, ServeTelemetry, WorkloadConfig};
+use sor_obs::{Recorder, SloConfig};
+use sor_serve::{
+    run_workload_with_observers, EngineConfig, ServeObservers, ServeTelemetry, WorkloadConfig,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Tests share the process-global metrics registry and log sink.
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
+/// Run a seeded workload under its own recorder, with a telemetry plane
+/// bound to that recorder attached.
 fn run_instrumented(slo: SloConfig, fail_at: Option<u64>) -> Arc<ServeTelemetry> {
+    let rec = Recorder::new();
+    let _scope = rec.install();
     let g = gen::random_regular(16, 4, &mut StdRng::seed_from_u64(11));
     let ecfg = EngineConfig {
         sparsity: 3,
@@ -47,7 +45,11 @@ fn run_instrumented(slo: SloConfig, fail_at: Option<u64>) -> Arc<ServeTelemetry>
         seed: 11,
     };
     let telemetry = Arc::new(ServeTelemetry::new(slo));
-    let report = run_workload_with_telemetry(&g, ecfg, &wcfg, Some(Arc::clone(&telemetry)));
+    let observers = ServeObservers {
+        telemetry: Some(Arc::clone(&telemetry)),
+        ..ServeObservers::default()
+    };
+    let report = run_workload_with_observers(&g, ecfg, &wcfg, observers);
     assert!(report.admitted > 0, "workload admitted nothing");
     telemetry
 }
@@ -101,11 +103,7 @@ fn assert_well_formed_exposition(body: &str) {
 
 #[test]
 fn scrape_endpoint_serves_metrics_timeline_and_health() {
-    let _guard = serial();
-    sor_obs::reset();
-    sor_obs::set_enabled(true);
     let telemetry = run_instrumented(SloConfig::disabled(), None);
-    sor_obs::set_enabled(false);
 
     let mut server = telemetry
         .serve_http("127.0.0.1:0")
@@ -210,9 +208,6 @@ fn scrape_endpoint_serves_metrics_timeline_and_health() {
 
 #[test]
 fn slo_breaches_on_failure_workload_emit_structured_events() {
-    let _guard = serial();
-    sor_obs::reset();
-    sor_obs::set_enabled(true);
     sor_obs::set_sink(sor_obs::Sink::Memory);
     let _ = sor_obs::take_captured();
 
@@ -227,7 +222,6 @@ fn slo_breaches_on_failure_workload_emit_structured_events() {
     let telemetry = run_instrumented(slo, Some(2));
     let captured = sor_obs::take_captured();
     sor_obs::set_sink(sor_obs::Sink::Stderr);
-    sor_obs::set_enabled(false);
 
     let breach_lines: Vec<&String> = captured
         .iter()

@@ -58,25 +58,24 @@ fn main() {
     }
     let trace = args.iter().any(|a| a == "--trace");
     let metrics_out = flag_value(&args, "--metrics-out").map(str::to_string);
-    // Live telemetry implies capture: windows/timeline tick over the
-    // registry, so the registry has to record.
+    // Live telemetry implies recording: windows/timeline tick over the
+    // run's recorder, so the run needs one.
     let telemetry = flag_value(&args, "--telemetry-addr").is_some()
         || flag_value(&args, "--timeline-out").is_some()
         || args.iter().any(|a| a == "--dashboard");
-    if trace || metrics_out.is_some() || telemetry {
-        semi_oblivious_routing::obs::set_enabled(true);
-    }
+    let recorder = semi_oblivious_routing::obs::Recorder::new();
     {
+        let _scope = (trace || metrics_out.is_some() || telemetry).then(|| recorder.install());
         // Root span: everything the command does nests under `sor/run`,
         // so the phase report accounts for the full command wall time.
         let _root = semi_oblivious_routing::obs::span("sor/run");
         run(&args);
     }
     if trace {
-        eprint!("{}", semi_oblivious_routing::obs::phase_report());
+        eprint!("{}", recorder.phase_report());
     }
     if let Some(path) = metrics_out {
-        let snap = semi_oblivious_routing::obs::snapshot();
+        let snap = recorder.snapshot();
         if let Err(e) = std::fs::write(&path, snap.to_json()) {
             eprintln!("error: cannot write metrics to {path}: {e}");
             exit(1);
@@ -247,6 +246,18 @@ fn run(args: &[String]) {
                 )),
                 seed,
             };
+            if let Err(e) = ecfg.validate() {
+                let flag = match e.field {
+                    "sparsity" => "--s",
+                    "trees" => "--trees",
+                    "eps" => "--eps",
+                    "epoch_batch" => "--batch",
+                    "queue_bound" => "--queue-bound",
+                    "cache_capacity" => "--cache-cap",
+                    other => other,
+                };
+                or_die::<()>(Err(format!("{flag} must be {}", e.requirement)));
+            }
             let wcfg = serve::WorkloadConfig {
                 epochs: or_die(flag_parse(args, "--epochs", 8)),
                 rate: or_die(flag_parse(args, "--rate", 8)),

@@ -1,13 +1,12 @@
 //! Observability must never change what the pipeline computes.
 //!
 //! Runs the full seeded pipeline (Räcke build → sampling → integral
-//! routing → packet simulation) twice — once with metric/span capture
-//! off, once on — and asserts bit-identical routing output. Also checks
+//! routing → packet simulation) twice — once without a recorder, once
+//! under one — and asserts bit-identical routing output. Also checks
 //! the coverage acceptance bar (≥10 distinct metrics spanning ≥4
 //! crates) and exercises the public `sor-obs` surface end to end.
 //!
-//! The tests share the process-global metrics registry, so they
-//! serialize on a local mutex.
+//! Each test owns its recorder, so the tests run in parallel.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,14 +17,6 @@ use semi_oblivious_routing::graph::Path;
 use semi_oblivious_routing::oblivious::RaeckeRouting;
 use semi_oblivious_routing::obs;
 use semi_oblivious_routing::sched::{try_simulate, Policy};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Everything the pipeline decides, in one comparable bundle.
 #[derive(PartialEq, Debug)]
@@ -73,14 +64,13 @@ fn run_pipeline() -> RunOutput {
 
 #[test]
 fn capture_does_not_change_routing_output() {
-    let _guard = serial();
-    obs::set_enabled(false);
-    obs::reset();
     let plain = run_pipeline();
-    obs::set_enabled(true);
-    obs::reset();
-    let instrumented = run_pipeline();
-    obs::set_enabled(false);
+    let rec = obs::Recorder::new();
+    let instrumented = {
+        let _scope = rec.install();
+        run_pipeline()
+    };
+    assert!(rec.snapshot().num_metrics() > 0, "the recorder saw the run");
     assert_eq!(
         plain, instrumented,
         "enabling metric/span capture changed the routing output"
@@ -89,15 +79,13 @@ fn capture_does_not_change_routing_output() {
 
 #[test]
 fn instrumented_run_meets_coverage_bar() {
-    let _guard = serial();
-    obs::set_enabled(true);
-    obs::reset();
+    let rec = obs::Recorder::new();
     {
+        let _scope: obs::RecorderScope = rec.install();
         let _root: obs::Span = obs::span("test/pipeline");
         run_pipeline();
     }
-    let snap: obs::Snapshot = obs::snapshot();
-    obs::set_enabled(false);
+    let snap: obs::Snapshot = rec.snapshot();
 
     // ≥10 distinct named metrics spanning ≥4 crates (acceptance bar).
     assert!(
@@ -141,7 +129,7 @@ fn instrumented_run_meets_coverage_bar() {
     );
     let rendered = obs::render_phase_tree(&snap.spans);
     assert!(rendered.contains("test/pipeline"));
-    assert!(obs::phase_report().contains("test/pipeline"));
+    assert!(rec.phase_report().contains("test/pipeline"));
 
     // JSON export carries the same inventory.
     let json = snap.to_json();
@@ -151,23 +139,30 @@ fn instrumented_run_meets_coverage_bar() {
 
 #[test]
 fn metrics_registry_surface() {
-    let _guard = serial();
-    obs::set_enabled(true);
-    obs::reset();
-    assert!(obs::enabled());
+    let rec = obs::Recorder::new();
+    assert!(!obs::enabled());
+    {
+        let _scope = rec.install();
+        assert!(obs::enabled());
+        assert!(obs::Recorder::current().is_some());
+        obs::counter_add!("test/api/counter");
+        obs::count("test/api/counter", 2);
+        obs::count_usize("test/api/counter", 3);
+        obs::observe_into!("test/api/ratio", &obs::RATIO_BUCKETS, 0.5);
+        obs::observe("test/api/ratio", &obs::RATIO_BUCKETS, 100.0); // overflow bucket
+    }
+    assert!(!obs::enabled());
+    rec.add("test/api/direct", 1);
 
-    let c: std::sync::Arc<obs::Counter> = obs::counter("test/api/counter");
-    c.inc();
-    obs::count("test/api/counter", 2);
-    obs::count_usize("test/api/counter", 3);
-    assert_eq!(c.get(), 6);
-
-    let h: std::sync::Arc<obs::Histogram> = obs::histogram("test/api/ratio", &obs::RATIO_BUCKETS);
-    h.observe(0.5);
-    obs::observe("test/api/ratio", &obs::RATIO_BUCKETS, 100.0); // overflow bucket
-
-    let reg: &obs::MetricsRegistry = obs::registry();
-    let snap = reg.snapshot();
+    let snap = rec.snapshot();
+    let counter = |name: &str| {
+        snap.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.value)
+    };
+    assert_eq!(counter("test/api/counter"), Some(6));
+    assert_eq!(counter("test/api/direct"), Some(1));
     let hs = snap
         .histograms
         .iter()
@@ -178,12 +173,15 @@ fn metrics_registry_surface() {
     assert!(overflow.le.is_none());
     assert_eq!(overflow.count, 1);
 
-    obs::set_enabled(false);
+    // reset zeroes values but keeps the registered names
+    rec.reset();
+    let after = rec.metrics_snapshot();
+    assert_eq!(after.num_metrics(), snap.num_metrics());
+    assert!(after.counters.iter().all(|c| c.value == 0));
 }
 
 #[test]
 fn logging_surface() {
-    let _guard = serial();
     obs::set_sink(obs::Sink::Memory);
     obs::set_log_level(obs::Level::Debug);
     assert_eq!(obs::log_level(), obs::Level::Debug);
@@ -193,7 +191,12 @@ fn logging_surface() {
         "obs_determinism",
         format_args!("captured {}", 1),
     );
-    let lines = obs::take_captured();
+    // The sink is process-wide: the pipeline tests running alongside may
+    // log too, so look at this test's own target only.
+    let lines: Vec<String> = obs::take_captured()
+        .into_iter()
+        .filter(|l| l.contains("obs_determinism"))
+        .collect();
     assert_eq!(lines.len(), 1);
     assert!(lines[0].contains("captured 1"));
     obs::set_log_level(obs::Level::Off);

@@ -5,8 +5,7 @@
 //! cross-crate coverage for API items whose natural callers live inside
 //! their own crate (`sor-obs`, `sor-serve`).
 //!
-//! The tests share the process-global metrics registry, so they
-//! serialize on a local mutex.
+//! Each test owns its recorder, so the tests run in parallel.
 
 use semi_oblivious_routing::graph::gen;
 use semi_oblivious_routing::obs;
@@ -18,23 +17,14 @@ use semi_oblivious_routing::obs::{
     SloWatchdog, WindowRegistry, WindowSnapshot,
 };
 use semi_oblivious_routing::serve::{
-    run_workload_with_telemetry, CacheDeltas, EngineConfig, EpochWalls, ServeTelemetry,
-    WorkloadConfig,
+    run_workload_with_observers, CacheDeltas, EngineConfig, EpochWalls, ServeObservers,
+    ServeTelemetry, WorkloadConfig,
 };
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::Arc;
 
 #[test]
 fn window_constants_and_snapshots_describe_the_plane() {
-    let _guard = serial();
-    obs::reset();
-    obs::set_enabled(true);
+    let rec = obs::Recorder::new();
 
     // the documented defaults: every standard window fits in the ring
     assert_eq!(WINDOWS, [1, 10, 60]);
@@ -42,10 +32,12 @@ fn window_constants_and_snapshots_describe_the_plane() {
     const { assert!(DEFAULT_EWMA_ALPHA > 0.0 && DEFAULT_EWMA_ALPHA <= 1.0) };
 
     let w = WindowRegistry::with_config(DEFAULT_WINDOW_CAPACITY, DEFAULT_EWMA_ALPHA);
-    obs::counter_add!("umbrella/ticked", 5);
-    obs::observe_into!("umbrella/obs_hist", &obs::POW2_BUCKETS, 3.0);
-    w.tick(&obs::snapshot());
-    obs::set_enabled(false);
+    {
+        let _scope = rec.install();
+        obs::counter_add!("umbrella/ticked", 5);
+        obs::observe_into!("umbrella/obs_hist", &obs::POW2_BUCKETS, 3.0);
+    }
+    w.tick(&rec.snapshot());
 
     let snaps: Vec<WindowSnapshot> = w.snapshot();
     let counter = snaps
@@ -123,9 +115,6 @@ fn prom_names_are_sanitized() {
 
 #[test]
 fn serve_walls_and_cache_deltas_flow_through_the_plane() {
-    let _guard = serial();
-    obs::reset();
-    obs::set_enabled(true);
     let g = gen::hypercube(3);
     let ecfg = EngineConfig {
         sparsity: 2,
@@ -144,9 +133,20 @@ fn serve_walls_and_cache_deltas_flow_through_the_plane() {
         seed: 5,
         ..WorkloadConfig::default()
     };
+    let rec = obs::Recorder::new();
+    let _scope = rec.install();
     let telemetry = Arc::new(ServeTelemetry::default());
-    let report = run_workload_with_telemetry(&g, ecfg, &wcfg, Some(Arc::clone(&telemetry)));
-    obs::set_enabled(false);
+    let journal = Arc::new(obs::Journal::new());
+    let report = run_workload_with_observers(
+        &g,
+        ecfg,
+        &wcfg,
+        ServeObservers {
+            telemetry: Some(Arc::clone(&telemetry)),
+            journal: Some(Arc::clone(&journal)),
+            ..ServeObservers::default()
+        },
+    );
 
     // per-epoch cache deltas sum back to the lifetime counters
     let total: CacheDeltas = report
@@ -161,17 +161,30 @@ fn serve_walls_and_cache_deltas_flow_through_the_plane() {
     assert_eq!(total.hits, report.cache.hits);
     assert_eq!(total.misses, report.cache.misses);
 
-    // replaying a published snapshot with synthetic walls feeds the tail
-    // histograms of a fresh plane
+    // the plane's timeline is a fold over the journal's event stream:
+    // replaying epoch 0's events through a fresh plane rebuilds its record
+    let records = telemetry.timeline().records();
+    assert_eq!(records.len(), report.snapshots.len());
+    let epoch0: Vec<obs::JournalEvent> = journal
+        .events()
+        .into_iter()
+        .map(|(_, e)| e)
+        .filter(|e| e.epoch() == 0)
+        .collect();
     let replay = ServeTelemetry::new(SloConfig::disabled());
     let walls = EpochWalls {
-        epoch_ns: 5_000_000,
         reopt_ns: 1_000_000,
         cache_lookup_ns: 10_000,
     };
-    let snap = report.snapshots.first().expect("epochs ran");
-    replay.record_epoch(snap, 0, 0, walls);
-    assert_eq!(replay.timeline().len(), 1);
-    let rec = replay.timeline().records().remove(0);
-    assert_eq!(rec.epoch_wall_ns, walls.epoch_ns);
+    replay.record_epoch(
+        obs::EpochRecord::from_stats(&obs::fold_epochs(&epoch0)[0]),
+        walls,
+    );
+    assert_eq!(replay.timeline().records(), records[..1].to_vec());
+    let first = &report.snapshots[0];
+    assert_eq!(records[0].congestion.to_bits(), first.congestion.to_bits());
+    assert_eq!(records[0].queue_depth, first.queue_depth);
+    assert_eq!(records[0].cache_misses, first.cache.misses);
+    // the plane ticks the recorder it was built under
+    assert!(telemetry.windows().rates("serve/epochs").is_some());
 }
