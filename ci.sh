@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, clippy (workspace lints), the sor-check
-# lint driver, and the test suite. Everything runs against the vendored
+# call-graph rules, and the test suite. Everything runs against the vendored
 # dependencies under vendor/ — no network, no registry.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -8,9 +8,14 @@ cd "$(dirname "$0")"
 export CARGO_NET_OFFLINE=true
 
 # Optional ThreadSanitizer leg (nightly-only, allowed to fail — see the
-# `tsan` job in .github/workflows/ci.yml). SOR_TSAN=1 runs it after the
-# normal gate; SOR_TSAN_ONLY=1 runs it and exits, so the CI job doesn't
-# repeat the stable-toolchain work the `checks` job already did.
+# `tsan` job in .github/workflows/ci.yml). It is the workspace's only
+# concurrency check, on the suites that really run across threads. TSan
+# reports data races, and lock-order inversions (potential deadlocks) on
+# the mutexes it intercepts: pthread ones. The futex-based std::sync
+# locks behind the vendored parking_lot reach it only as atomics.
+# SOR_TSAN=1 runs it after the normal gate; SOR_TSAN_ONLY=1 runs it and
+# exits, so the CI job doesn't repeat the stable-toolchain work the
+# `checks` job already did.
 run_tsan() {
   echo "==> ThreadSanitizer (nightly, -Zsanitizer=thread)"
   if ! cargo +nightly --version >/dev/null 2>&1; then
@@ -47,10 +52,10 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --workspace (deny unwrap_used via [workspace.lints])"
+echo "==> cargo clippy --workspace ([workspace.lints]: no unwrap/expect/panic! in library code, no lossy casts, no exact float compares; a stale #[expect] fails)"
 cargo clippy --workspace --all-targets
 
-echo "==> sor-check (lexical rules + semantic pass, regression-only baseline gate)"
+echo "==> sor-check (panic reachability, determinism, dead API, hot-path cost; regression-only baseline gate)"
 cargo run -q -p sor-check -- --baseline check-baseline.json --fail-on-new
 
 echo "==> sor-check baseline + hot-path cost drift gate (committed files must match a fresh write)"

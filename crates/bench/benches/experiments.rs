@@ -2,6 +2,12 @@
 //! experiment id (quick configuration), so `cargo bench` regenerates and
 //! times every table/figure end to end.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "driver code: a broken experiment setup stops the run"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 

@@ -2,6 +2,12 @@
 //! experiments: graph algorithms, solvers, constructions. These are the
 //! hot paths a downstream user of the library pays for.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "driver code: a broken benchmark setup stops the run"
+)]
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -18,8 +18,6 @@
 //! Gated runs append one JSON line to `BENCH_TRAJECTORY.jsonl` (suppress
 //! with `--no-trajectory`) recording git revision, status, and totals.
 
-#![forbid(unsafe_code)]
-
 use sor_bench::perf::{
     bench_names, gate, parse_baseline, render_suite_summary, run_suite, suite_to_json,
     trajectory_line, GatePolicy, PerfConfig, BASELINE_FORMAT,

@@ -12,6 +12,12 @@
 //! histograms, per-phase timings) per experiment into `DIR`, next to the
 //! printed tables.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "driver code: a broken experiment setup stops the run"
+)]
+
 use std::env;
 use std::path::PathBuf;
 

@@ -77,8 +77,11 @@ pub fn e1_log_sparsity(quick: bool) -> Table {
         let mut grng = StdRng::seed_from_u64(7);
         let g = gen::random_regular(n, 4, &mut grng);
         let r = RaeckeRouting::build(g.clone(), 8, &mut grng);
-        // log2 of a graph size: tiny, non-negative — the floor fits easily
-        #[allow(clippy::cast_possible_truncation)]
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "log2 of a graph size is tiny and non-negative"
+        )]
         let k = (n as f64).log2().ceil() as usize;
         let (worst, mean, vs_obl) = permutation_ratios(&g, &r, k, seeds, eps);
         t.row(vec![

@@ -5,7 +5,7 @@
 //! experiments E1/E2/E7/E8 plus micro-kernels over the library's hot
 //! paths (FRT tree build, MWU restricted solve, randomized rounding,
 //! scheduler step loop, the §5.3 deletion process, MCF solves, …) — each
-//! run under the suite's `sor_obs::Recorder`, producing three kinds of
+//! run under its own `sor_obs::Recorder`, producing three kinds of
 //! data per bench:
 //!
 //! * **work metrics** — counters, histograms, and span *call counts*
@@ -128,10 +128,8 @@ pub struct SuiteRun {
 
 type BenchFn = fn() -> Vec<(String, f64)>;
 
-/// The fixed suite: (name, workload). Order matters — metric registries
-/// accumulate registrations process-wide, and the work view strips
-/// zeros, so each bench's work snapshot contains exactly the metrics it
-/// touched regardless of position; wall spans reset per trial.
+/// The fixed suite: (name, workload), in report order. Each bench runs
+/// under its own recorder, so its position never changes its snapshot.
 const BENCHES: &[(&str, BenchFn)] = &[
     ("macro/e1", kernels::macro_e1),
     ("macro/e2", kernels::macro_e2),
@@ -272,9 +270,12 @@ fn robust_stats(samples: &[u64]) -> (u64, u64, u64, usize) {
 }
 
 /// Execute one bench under the config: warmups without a recorder, then
-/// timed trials under the suite's recorder, reset before and
-/// snapshotted after each trial.
-fn run_bench(name: &str, workload: BenchFn, cfg: &PerfConfig, rec: &Recorder) -> BenchRun {
+/// timed trials under the bench's own recorder, reset before and
+/// snapshotted after each trial. The recorder belongs to this bench, so
+/// its snapshots hold only the metrics this bench registers, whatever
+/// ran before it.
+fn run_bench(name: &str, workload: BenchFn, cfg: &PerfConfig) -> BenchRun {
+    let rec = Recorder::new();
     for _ in 0..cfg.warmup {
         let _ = workload();
     }
@@ -349,14 +350,7 @@ fn run_bench(name: &str, workload: BenchFn, cfg: &PerfConfig, rec: &Recorder) ->
 
 /// Run the whole suite (honoring `cfg.filter`), with a progress line per
 /// bench on stderr.
-///
-/// The suite run owns one recorder. Resetting it between trials zeroes
-/// values but keeps registered names, so a bench's snapshot also lists
-/// (at zero) the metrics earlier benches registered — and
-/// `kernel/telemetry_overhead`'s `telemetry/window_series`, the number
-/// of series its telemetry plane ticks, counts them too.
 pub fn run_suite(cfg: &PerfConfig) -> SuiteRun {
-    let rec = Recorder::new();
     let runs = BENCHES
         .iter()
         .filter(|(name, _)| {
@@ -366,7 +360,7 @@ pub fn run_suite(cfg: &PerfConfig) -> SuiteRun {
         })
         .map(|(name, workload)| {
             eprintln!("perf: running {name} ({} trials)", cfg.trials.max(1));
-            run_bench(name, *workload, cfg, &rec)
+            run_bench(name, *workload, cfg)
         })
         .collect();
     SuiteRun {
@@ -774,7 +768,6 @@ impl GateReport {
 fn fmt_json_num(v: f64) -> String {
     if v.is_nan() {
         "—".to_string()
-    // sor-check: allow(float-eq) — fract()==0.0 is an exact integrality test for display
     } else if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{v:.0}")
     } else {
@@ -840,7 +833,6 @@ pub fn gate(baseline: &Baseline, current: &SuiteRun, policy: &GatePolicy) -> Gat
                     note: "quality metric vanished".to_string(),
                 }),
                 Some((_, qcur)) => {
-                    // sor-check: allow(float-eq) — 0.0 is an exact sentinel (absolute-dev fallback)
                     let dev = if *qbase == 0.0 {
                         qcur.abs()
                     } else {
@@ -887,7 +879,6 @@ pub fn gate(baseline: &Baseline, current: &SuiteRun, policy: &GatePolicy) -> Gat
                 };
                 report.checked += 1;
                 #[allow(clippy::cast_precision_loss)]
-                // sor-check: allow(lossy-cast) — ns fit f64 for ratio purposes
                 let ratio = cw.median_ns as f64 / (bw.median_ns as f64).max(1.0);
                 let status = if ratio > policy.wall_fail_ratio {
                     DiffStatus::Fail
@@ -898,7 +889,6 @@ pub fn gate(baseline: &Baseline, current: &SuiteRun, policy: &GatePolicy) -> Gat
                 };
                 if status != DiffStatus::Pass {
                     #[allow(clippy::cast_precision_loss)]
-                    // sor-check: allow(lossy-cast) — ns fit f64 for reporting
                     report.deltas.push(Delta {
                         metric: format!("{}:{}", base.name, bw.phase),
                         kind: DeltaKind::SpanWall,

@@ -225,7 +225,6 @@ pub fn deletion() -> Quality {
         .map(|p| is_bad_pattern(p, 1, 2, max_draws.max(1) as u64))
         .unwrap_or(false);
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — tiny combinatorial count, exact in f64
     let bad_count = count_bad_patterns(6, 1, 2, 8) as f64;
     let bound = pattern_count_bound(6, 1, 8);
 

@@ -8,8 +8,11 @@ use crate::table::Table;
 const BLOCKS: [&str; 8] = ["▏", "▎", "▍", "▌", "▋", "▊", "▉", "█"];
 
 /// Render one bar of fractional width `frac ∈ [0, 1]` over `width` cells.
-// Floors of values clamped into [0, width] / [0, 8): the casts cannot lose range.
-#[allow(clippy::cast_possible_truncation)]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "floors of values clamped into [0, width] and [0, 8)"
+)]
 fn bar(frac: f64, width: usize) -> String {
     let cells = frac.clamp(0.0, 1.0) * width as f64;
     let full = cells.floor() as usize;

@@ -41,7 +41,6 @@ impl Table {
 
 /// Format a float tersely for table cells.
 pub fn f(x: f64) -> String {
-    // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
     if x == 0.0 {
         "0".to_string()
     } else if x.abs() >= 100.0 {

@@ -1,26 +1,22 @@
 //! `check.toml`: declarative configuration for the semantic pass.
 //!
-//! The workspace root carries a `check.toml` naming the crate layering
-//! DAG and the scopes of the semantic rules. The file is parsed with a
-//! deliberately tiny TOML subset reader (sections, `key = value` with
-//! string / bool / integer / string-array values, `#` comments) — the
-//! registry is unreachable from CI, so no `toml` crate.
+//! The workspace root carries a `check.toml` naming the scopes of the
+//! rules. The file is parsed with a deliberately tiny TOML subset reader
+//! (sections, `key = value` with string / bool / integer / string-array
+//! values, `#` comments) — the registry is unreachable from CI, so no
+//! `toml` crate. The same reader pulls the `[dependencies]` names out of
+//! each crate's `Cargo.toml` ([`manifest_dependencies`]): the crate
+//! graph is Cargo's, not restated here.
 //!
-//! Missing file ⇒ [`Config::default`]: every semantic rule that needs
-//! configuration (layering, panic scope, determinism scope, dead-API
-//! scope) is simply skipped, which is what the seeded test fixtures
-//! without a `check.toml` rely on.
+//! Missing file ⇒ [`Config::default`]: every rule that needs
+//! configuration (panic scope, determinism scope, dead-API scope, hot
+//! entries) is simply skipped.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Parsed semantic-pass configuration.
 #[derive(Clone, Debug, Default)]
 pub struct Config {
-    /// `[layers]`: crate → crates it may depend on *directly*. The
-    /// transitive closure of this relation is what the layering rule
-    /// permits; anything else is a violation.
-    pub layers: BTreeMap<String, Vec<String>>,
     /// `[panics] public_crates`: crates whose `pub` functions must not
     /// reach a panic site.
     pub panic_public_crates: Vec<String>,
@@ -46,21 +42,8 @@ pub struct Config {
     /// `[dead-api] crates`: crates whose `pub` items are audited for
     /// having at least one reference from elsewhere in the workspace.
     pub dead_api_crates: Vec<String>,
-    /// `[concurrency] crates`: crates in scope for the lock-order,
-    /// held-lock and atomics rules (the crates that actually share
-    /// state across threads). Empty ⇒ those rules are skipped.
-    pub concurrency_crates: Vec<String>,
-    /// `[concurrency] expensive`: function names treated as expensive
-    /// or blocking (MWU solves, FRT builds, I/O, channel sends) by the
-    /// held-lock rule — calling one while a guard is live is flagged.
-    pub expensive_fns: Vec<String>,
-    /// `[concurrency] parallel_targets`: entry points slated for rayon
-    /// parallelization (plain `name` or `crate::name`); everything
-    /// reachable from them is audited for non-`Send` / interior-mutable
-    /// types by the rayon-readiness rule.
-    pub parallel_targets: Vec<String>,
     /// `[hotpath] entries`: hot entry points (plain `name` or
-    /// `crate::name`). The hot-path rules walk the layering-filtered
+    /// `crate::name`). The hot-path rules walk the dependency-filtered
     /// call graph from each entry and audit everything reachable for
     /// allocation and complexity cost. Empty ⇒ the family is skipped.
     pub hotpath_entries: Vec<String>,
@@ -135,7 +118,6 @@ impl Config {
             })?;
             cfg.apply(&section, &key, value, line_no)?;
         }
-        cfg.validate_layers()?;
         Ok(cfg)
     }
 
@@ -149,13 +131,6 @@ impl Config {
     ) -> Result<(), ConfigError> {
         let err = |message: String| Err(ConfigError { line, message });
         match (section, key) {
-            ("layers", krate) => match value {
-                Value::StrArray(deps) => {
-                    self.layers.insert(krate.to_string(), deps);
-                    Ok(())
-                }
-                _ => err(format!("[layers] {krate} must be an array of crate names")),
-            },
             ("panics", "public_crates") => match value {
                 Value::StrArray(v) => {
                     self.panic_public_crates = v;
@@ -198,27 +173,6 @@ impl Config {
                 }
                 _ => err("dead-api.crates must be an array".into()),
             },
-            ("concurrency", "crates") => match value {
-                Value::StrArray(v) => {
-                    self.concurrency_crates = v;
-                    Ok(())
-                }
-                _ => err("concurrency.crates must be an array".into()),
-            },
-            ("concurrency", "expensive") => match value {
-                Value::StrArray(v) => {
-                    self.expensive_fns = v;
-                    Ok(())
-                }
-                _ => err("concurrency.expensive must be an array".into()),
-            },
-            ("concurrency", "parallel_targets") => match value {
-                Value::StrArray(v) => {
-                    self.parallel_targets = v;
-                    Ok(())
-                }
-                _ => err("concurrency.parallel_targets must be an array".into()),
-            },
             ("hotpath", "entries") => match value {
                 Value::StrArray(v) => {
                     self.hotpath_entries = v;
@@ -235,77 +189,6 @@ impl Config {
             },
             _ => err(format!("unknown configuration key [{section}] {key}")),
         }
-    }
-
-    /// The declared layering must itself be a DAG, and every crate named
-    /// as a dependency must be declared as a layer (so a typo cannot
-    /// silently open a hole).
-    fn validate_layers(&self) -> Result<(), ConfigError> {
-        for (krate, deps) in &self.layers {
-            for d in deps {
-                if !self.layers.contains_key(d) {
-                    return Err(ConfigError {
-                        line: 0,
-                        message: format!("[layers] {krate} depends on undeclared crate `{d}`"),
-                    });
-                }
-            }
-        }
-        // Kahn's algorithm: if a topological order does not consume every
-        // crate, the remainder is cyclic.
-        let mut indegree: BTreeMap<&str, usize> =
-            self.layers.keys().map(|k| (k.as_str(), 0)).collect();
-        for deps in self.layers.values() {
-            for d in deps {
-                if let Some(n) = indegree.get_mut(d.as_str()) {
-                    *n += 1;
-                }
-            }
-        }
-        let mut queue: Vec<&str> = indegree
-            .iter()
-            .filter(|(_, n)| **n == 0)
-            .map(|(k, _)| *k)
-            .collect();
-        let mut seen = 0usize;
-        while let Some(k) = queue.pop() {
-            seen += 1;
-            for d in &self.layers[k] {
-                if let Some(n) = indegree.get_mut(d.as_str()) {
-                    *n -= 1;
-                    if *n == 0 {
-                        queue.push(d);
-                    }
-                }
-            }
-        }
-        if seen != self.layers.len() {
-            return Err(ConfigError {
-                line: 0,
-                message: "[layers] declared dependency graph contains a cycle".into(),
-            });
-        }
-        Ok(())
-    }
-
-    /// The set of crates `krate` may reference: the transitive closure of
-    /// its declared direct dependencies. `None` when `krate` is not
-    /// declared in `[layers]` at all (the layering rule reports that
-    /// separately).
-    pub fn allowed_deps(&self, krate: &str) -> Option<Vec<String>> {
-        self.layers.get(krate)?;
-        let mut out: Vec<String> = Vec::new();
-        let mut stack: Vec<&str> = vec![krate];
-        while let Some(k) = stack.pop() {
-            for d in self.layers.get(k).map(Vec::as_slice).unwrap_or(&[]) {
-                if !out.iter().any(|o| o == d) {
-                    out.push(d.clone());
-                    stack.push(d);
-                }
-            }
-        }
-        out.sort();
-        Some(out)
     }
 
     /// Effective `[hotpath] alloc_min_depth` (default 1).
@@ -371,17 +254,32 @@ fn parse_value(s: &str) -> Option<Value> {
     s.parse::<i64>().ok().map(Value::Int)
 }
 
+/// The package names a Cargo manifest lists under `[dependencies]`:
+/// `sor-graph.workspace = true` and `sor-graph = { path = ".." }` both
+/// name `sor-graph`. Dev-dependencies are left out, because library
+/// code cannot name them.
+pub fn manifest_dependencies(text: &str) -> Vec<String> {
+    let mut section = String::new();
+    let mut out = Vec::new();
+    for raw in text.lines() {
+        let line = strip_toml_comment(raw).trim();
+        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            section = name.trim().to_string();
+        } else if section == "dependencies" {
+            if let Some((key, _)) = line.split_once('=') {
+                let name = key.split('.').next().unwrap_or_default();
+                out.push(unquote(name.trim()));
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"
-# layering
-[layers]
-"sor-graph" = []
-"sor-flow" = ["sor-graph"]
-"sor-core" = ["sor-flow", "sor-graph"] # closure includes graph anyway
-
 [panics]
 public_crates = ["sor-flow", "sor-core"]
 include_indexing = false
@@ -390,28 +288,16 @@ include_indexing = false
 order_crates = ["sor-core"]
 
 [dead-api]
-crates = ["sor-graph"]
-
-[concurrency]
-crates = ["sor-core"]
-expensive = ["solve", "build"]
-parallel_targets = ["sample_k", "sor-graph::dijkstra"]
+crates = ["sor-graph"] # trailing comment
 "#;
 
     #[test]
     fn parses_sample() {
         let cfg = Config::parse(SAMPLE).expect("parse");
-        assert_eq!(cfg.layers["sor-flow"], vec!["sor-graph"]);
         assert_eq!(cfg.panic_public_crates, vec!["sor-flow", "sor-core"]);
         assert!(!cfg.panic_include_indexing);
         assert_eq!(cfg.order_crates, vec!["sor-core"]);
         assert_eq!(cfg.dead_api_crates, vec!["sor-graph"]);
-        assert_eq!(cfg.concurrency_crates, vec!["sor-core"]);
-        assert_eq!(cfg.expensive_fns, vec!["solve", "build"]);
-        assert_eq!(
-            cfg.parallel_targets,
-            vec!["sample_k", "sor-graph::dijkstra"]
-        );
     }
 
     #[test]
@@ -436,24 +322,18 @@ parallel_targets = ["sample_k", "sor-graph::dijkstra"]
     }
 
     #[test]
-    fn closure_is_transitive() {
-        let cfg = Config::parse(SAMPLE).expect("parse");
-        let deps = cfg.allowed_deps("sor-core").expect("declared");
-        assert_eq!(deps, vec!["sor-flow", "sor-graph"]);
-        assert_eq!(cfg.allowed_deps("sor-graph").expect("declared").len(), 0);
-        assert!(cfg.allowed_deps("sor-unknown").is_none());
-    }
-
-    #[test]
-    fn cycle_is_rejected() {
-        let bad = "[layers]\n\"a\" = [\"b\"]\n\"b\" = [\"a\"]\n";
-        assert!(Config::parse(bad).is_err());
-    }
-
-    #[test]
-    fn undeclared_dep_is_rejected() {
-        let bad = "[layers]\n\"a\" = [\"nope\"]\n";
-        assert!(Config::parse(bad).is_err());
+    fn manifest_dependencies_skip_dev_and_other_sections() {
+        let manifest = "[package]\nname = \"sor-hop\"\nversion.workspace = true\n\n\
+                        [dependencies]\nsor-graph.workspace = true\n\
+                        sor-flow = { path = \"../flow\" } # inline table\n\
+                        \"rand\".workspace = true\n\n\
+                        [dev-dependencies]\nproptest.workspace = true\n\n\
+                        [lints]\nworkspace = true\n";
+        assert_eq!(
+            manifest_dependencies(manifest),
+            vec!["sor-graph", "sor-flow", "rand"]
+        );
+        assert!(manifest_dependencies("[package]\nname = \"x\"\n").is_empty());
     }
 
     #[test]
@@ -464,6 +344,6 @@ parallel_targets = ["sample_k", "sor-graph::dijkstra"]
     #[test]
     fn missing_file_is_default() {
         let cfg = Config::load(Path::new("/no/such/dir")).expect("default");
-        assert!(cfg.layers.is_empty());
+        assert!(cfg.panic_public_crates.is_empty() && cfg.hotpath_entries.is_empty());
     }
 }

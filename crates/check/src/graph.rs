@@ -14,6 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
+use crate::config::manifest_dependencies;
 use crate::items::{parse_file, ItemKind, SourceFile};
 use crate::strip::Stripper;
 
@@ -25,6 +26,10 @@ pub struct Workspace {
     /// identifier → crates whose code (src, tests, benches, examples)
     /// mentions it.
     pub ident_crates: BTreeMap<String, BTreeSet<String>>,
+    /// crate → the packages its `Cargo.toml` lists under
+    /// `[dependencies]`. A crate without a readable manifest (the test
+    /// fixtures) has no entry.
+    pub deps: BTreeMap<String, Vec<String>>,
 }
 
 /// Read the `name = "..."` of the first `[package]` section of a
@@ -48,21 +53,30 @@ fn package_name(manifest: &Path) -> Option<String> {
     None
 }
 
-/// The crate owning a workspace-relative path, in dash form. Falls back
-/// to `sor-<dir>` / the root package name when no manifest is readable
-/// (the test fixtures carry no manifests).
-fn crate_of(root: &Path, rel: &Path) -> Option<String> {
+/// The manifest of the package owning a workspace-relative path.
+fn manifest_of(root: &Path, rel: &Path) -> Option<PathBuf> {
     let parts: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
     match parts.as_slice() {
-        ["crates", dir, ..] => Some(
-            package_name(&root.join("crates").join(dir).join("Cargo.toml"))
-                .unwrap_or_else(|| format!("sor-{dir}")),
-        ),
-        ["src", ..] | ["tests", ..] | ["examples", ..] => {
-            Some(package_name(&root.join("Cargo.toml")).unwrap_or_else(|| "root".to_string()))
-        }
+        ["crates", dir, ..] => Some(root.join("crates").join(dir).join("Cargo.toml")),
+        ["src", ..] | ["tests", ..] | ["examples", ..] => Some(root.join("Cargo.toml")),
         _ => None,
     }
+}
+
+/// The crate owning a workspace-relative path, in dash form. Falls back
+/// to `sor-<dir>` / `root` when no manifest is readable (the test
+/// fixtures carry no manifests).
+fn crate_of(root: &Path, rel: &Path) -> Option<String> {
+    let manifest = manifest_of(root, rel)?;
+    let fallback = || match rel
+        .strip_prefix("crates")
+        .ok()
+        .and_then(|r| r.iter().next())
+    {
+        Some(dir) => format!("sor-{}", dir.to_string_lossy()),
+        None => "root".to_string(),
+    };
+    Some(package_name(&manifest).unwrap_or_else(fallback))
 }
 
 /// Is this path part of the analyzed sources (crate `src/` trees), as
@@ -113,6 +127,12 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
         let analyzed = is_analyzed(&rel);
         if !analyzed && !is_corpus(&rel) {
             continue;
+        }
+        if !ws.deps.contains_key(&krate) {
+            let manifest = manifest_of(root, &rel).and_then(|m| std::fs::read_to_string(m).ok());
+            if let Some(text) = manifest {
+                ws.deps.insert(krate.clone(), manifest_dependencies(&text));
+            }
         }
         let text = std::fs::read_to_string(&path)?;
         if analyzed {

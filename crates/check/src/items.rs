@@ -1092,8 +1092,8 @@ fn collect_calls(item: &mut Item, s: &str, line: usize, depth: usize) {
 /// opening-`{` line, closing-`}` line)`. Mirrors the context discipline
 /// of the main parse: `#[cfg(test)]` regions are skipped and a bodyless
 /// trait-method declaration (a `;` before any `{`) produces no span.
-/// The concurrency rules use this to scan guard scopes and atomic
-/// accesses with correct function attribution.
+/// The hot-path rules use this to attribute loop-local growth and
+/// scans to the right function.
 pub fn body_spans(file: &SourceFile) -> Vec<(usize, usize, usize)> {
     let mut out = Vec::new();
     let mut armed: Option<usize> = None; // fn item waiting for its `{`

@@ -1,51 +1,39 @@
-//! `sor-check`: the workspace's repo-specific static-analysis pass.
+//! `sor-check`: the workspace checks the compiler cannot express.
 //!
-//! The generic toolchain cannot express the rules this workspace actually
-//! depends on — that sampled-path code never hides failures behind
-//! `unwrap()`, that congestion/capacity/rate arithmetic never loses
-//! precision through silent `as` casts, that every random draw threads an
-//! explicit seeded [`rand::Rng`] so experiments stay reproducible. This
-//! crate is a std-only source scanner (the registry is unreachable from
-//! CI, so no `syn`), run as `cargo run -p sor-check` and from CI; it exits
-//! non-zero when any rule fires.
+//! rustc, clippy and Cargo already enforce the lexical and structural
+//! rules (see `[workspace.lints]` in the root manifest and DESIGN.md):
+//! no `unwrap`/`expect`/`panic!` in library code, no truncating or
+//! sign-losing casts, no exact float comparison, documented `sor-core`
+//! items, no `unsafe`, and a crate graph that is exactly the manifests'
+//! `[dependencies]`. What is left needs a whole-workspace call graph,
+//! which no single-crate lint sees:
 //!
-//! # Rules
+//! - **panic reachability** (`panic-path`): no panic site reachable from
+//!   a public solver-crate function, with a shortest witness chain;
+//! - **the determinism audit** (`unseeded-rng`, `hash-order`): every
+//!   sample is seeded and no hash iteration order leaks into output;
+//! - **API hygiene** (`dead-api`): public items have a user elsewhere;
+//! - **hot-path cost** (`alloc-in-hot`, `clone-in-loop`,
+//!   `growth-without-capacity`, `quadratic-scan`): allocation and
+//!   complexity on the call trees of the configured hot entries.
 //!
-//! | id | scope | meaning |
-//! |----|-------|---------|
-//! | `unwrap` | library crates | no `.unwrap()` / `.expect(..)` / `panic!(..)` outside `#[cfg(test)]` |
-//! | `lossy-cast` | `sor-graph`, `sor-flow`, `sor-core` | no `as` casts to a narrower integer type (use `try_into` or the typed unit constructors) |
-//! | `thread-rng` | everywhere scanned | no `thread_rng()` — all randomness takes an explicit seeded `Rng` |
-//! | `float-eq` | everywhere scanned | no `==` / `!=` against a floating-point literal (compare with a tolerance) |
-//! | `missing-docs` | `sor-core` | every `pub fn` carries a doc comment |
+//! This crate is a std-only source scanner (the registry is unreachable
+//! from CI, so no `syn`), run as `cargo run -p sor-check` and from CI;
+//! `check.toml` at the workspace root scopes the rules. It exits non-zero
+//! when a finding is not in `check-baseline.json`.
 //!
-//! # Allowlist mechanism
+//! # Exceptions
 //!
-//! A violation is suppressed by an explanatory comment on the same line or
-//! the line directly above:
-//!
-//! ```text
-//! // sor-check: allow(lossy-cast) — node count < u32::MAX is asserted above
-//! let id = idx as u32;
-//! ```
-//!
-//! A whole file opts out of one rule with `sor-check: allow-file(<rule>)`
-//! in any comment. Allowlists are deliberately *loud*: they make every
-//! exception grep-able, reviewed, and justified in place.
-//!
-//! # Honest limitations
-//!
-//! This is a lexical scanner with just enough state to strip strings,
-//! comments and `#[cfg(test)]` regions. `lossy-cast` flags every `as
-//! <narrower-int>` (it cannot see the source type), and `float-eq` only
-//! recognizes comparisons where one side is a float *literal*. Both err
-//! toward asking for an allowlist comment rather than silence; `cargo
-//! clippy` (see `[workspace.lints]`) covers the type-aware versions.
-
-#![forbid(unsafe_code)]
+//! A site-level exception to a rule is a justified comment on the same
+//! line or the line directly above, `// sor-check: allow(<rule>) —
+//! <reason>`; a bare allow is ignored. A panic site that carries a
+//! compiler-checked `#[expect(clippy::expect_used, reason = "…")]` (or
+//! `clippy::panic` / `clippy::unwrap_used`) needs nothing more: that
+//! attribute is `panic-path`'s justified allow as well, so each site
+//! carries one annotation.
 
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 pub mod baseline;
 pub mod config;
@@ -56,471 +44,13 @@ pub mod rules;
 mod strip;
 pub use strip::strip_line;
 
-/// One of the repo-specific lint rules.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Rule {
-    /// `.unwrap()` / `.expect(` / `panic!(` in library code.
-    Unwrap,
-    /// `as` cast to a narrower integer type in the numeric-core crates.
-    LossyCast,
-    /// `thread_rng()` anywhere — randomness must be seeded and explicit.
-    ThreadRng,
-    /// `==` / `!=` against a float literal.
-    FloatEq,
-    /// `pub fn` without a doc comment in `sor-core`.
-    MissingDocs,
-    /// Any `unsafe` block/fn/impl — the workspace forbids unsafe code
-    /// (`#![forbid(unsafe_code)]` in every crate root backs this up at
-    /// the compiler level; the rule catches the attribute being removed).
-    Unsafe,
-}
-
-/// Every rule, in reporting order.
-pub const ALL_RULES: [Rule; 6] = [
-    Rule::Unwrap,
-    Rule::LossyCast,
-    Rule::ThreadRng,
-    Rule::FloatEq,
-    Rule::MissingDocs,
-    Rule::Unsafe,
-];
-
-impl Rule {
-    /// Stable identifier used in reports and allowlist comments.
-    pub fn id(self) -> &'static str {
-        match self {
-            Rule::Unwrap => "unwrap",
-            Rule::LossyCast => "lossy-cast",
-            Rule::ThreadRng => "thread-rng",
-            Rule::FloatEq => "float-eq",
-            Rule::MissingDocs => "missing-docs",
-            Rule::Unsafe => "unsafe-code",
-        }
-    }
-
-    /// Parse an allowlist identifier.
-    pub fn from_id(id: &str) -> Option<Rule> {
-        ALL_RULES.iter().copied().find(|r| r.id() == id)
-    }
-}
-
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.id())
-    }
-}
-
-/// A single rule hit.
-#[derive(Clone, Debug)]
-pub struct Violation {
-    /// Workspace-relative path of the offending file.
-    pub file: PathBuf,
-    /// 1-based line number.
-    pub line: usize,
-    /// Which rule fired.
-    pub rule: Rule,
-    /// Human-oriented explanation naming the offending token.
-    pub message: String,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file.display(),
-            self.line,
-            self.rule,
-            self.message
-        )
-    }
-}
-
-/// Which rule families apply to a file, derived from its workspace path.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FileClass {
-    /// Library code: the `unwrap` rule applies.
-    pub library: bool,
-    /// Numeric-core crate: the `lossy-cast` rule applies.
-    pub cast_strict: bool,
-    /// `sor-core` public API: the `missing-docs` rule applies.
-    pub docs_required: bool,
-}
-
-/// The library crates (everything algorithmic; the bench harness and
-/// binaries are driver code and may panic on broken input).
-const LIB_CRATES: [&str; 10] = [
-    "graph",
-    "flow",
-    "oblivious",
-    "hop",
-    "core",
-    "sched",
-    "te",
-    "serve",
-    "check",
-    "obs",
-];
-
-/// Crates where congestion/capacity/rate arithmetic lives and lossy `as`
-/// casts are banned.
-const CAST_STRICT_CRATES: [&str; 3] = ["graph", "flow", "core"];
-
-/// Classify a workspace-relative path; `None` means the file is not
-/// scanned at all (tests, benches, fixtures, generated output).
-pub fn classify(rel: &Path) -> Option<FileClass> {
-    let parts: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
-    if parts.iter().any(|p| {
-        *p == "tests" || *p == "benches" || *p == "examples" || *p == "fixtures" || *p == "target"
-    }) {
-        return None;
-    }
-    let is_binary = parts.contains(&"bin") || parts.last() == Some(&"main.rs");
-    match parts.as_slice() {
-        ["crates", krate, "src", ..] => Some(FileClass {
-            library: LIB_CRATES.contains(krate) && !is_binary && *krate != "bench",
-            cast_strict: CAST_STRICT_CRATES.contains(krate),
-            docs_required: *krate == "core",
-        }),
-        // the root package's library sources (src/bin is driver code)
-        ["src", ..] => Some(FileClass {
-            library: !is_binary,
-            cast_strict: false,
-            docs_required: false,
-        }),
-        _ => None,
-    }
-}
-
-/// Integer types an `as` cast may truncate into.
-const NARROW_INT_TARGETS: [&str; 10] = [
-    "u8", "u16", "u32", "u64", "usize", "i8", "i16", "i32", "i64", "isize",
-];
-
-/// Scan one file's text. `rel` is only used for reporting.
-pub fn scan_file(rel: &Path, text: &str, class: FileClass) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let mut stripper = strip::Stripper::new();
-    let lines: Vec<&str> = text.lines().collect();
-    let stripped: Vec<String> = lines.iter().map(|l| stripper.strip_line(l)).collect();
-
-    let file_allows: Vec<Rule> = lines
-        .iter()
-        .flat_map(|l| parse_allow(l, "sor-check: allow-file("))
-        .collect();
-
-    // `#[cfg(test)]` region tracking over stripped lines (shared with
-    // the semantic pass, see items::test_mask).
-    let in_test = items::test_mask(&stripped);
-
-    let allowed = |rule: Rule, idx: usize| -> bool {
-        if file_allows.contains(&rule) {
-            return true;
-        }
-        let same = parse_allow(lines[idx], "sor-check: allow(");
-        if same.contains(&rule) {
-            return true;
-        }
-        idx > 0 && parse_allow(lines[idx - 1], "sor-check: allow(").contains(&rule)
-    };
-
-    for (idx, s) in stripped.iter().enumerate() {
-        if in_test[idx] {
-            continue;
-        }
-        let line_no = idx + 1;
-
-        if class.library {
-            for (token, what) in [
-                (".unwrap()", "`.unwrap()`"),
-                (".expect(", "`.expect(..)`"),
-                ("panic!(", "`panic!(..)`"),
-            ] {
-                if s.contains(token) && !allowed(Rule::Unwrap, idx) {
-                    out.push(Violation {
-                        file: rel.to_path_buf(),
-                        line: line_no,
-                        rule: Rule::Unwrap,
-                        message: format!(
-                            "{what} in library code — propagate a Result or document the \
-                             invariant with `// sor-check: allow(unwrap)`"
-                        ),
-                    });
-                }
-            }
-        }
-
-        if class.cast_strict {
-            for target in lossy_cast_targets(s) {
-                if !allowed(Rule::LossyCast, idx) {
-                    out.push(Violation {
-                        file: rel.to_path_buf(),
-                        line: line_no,
-                        rule: Rule::LossyCast,
-                        message: format!(
-                            "`as {target}` may truncate — use `try_into()` or a typed \
-                             constructor (Capacity/Rate/Congestion, NodeId/EdgeId)"
-                        ),
-                    });
-                }
-            }
-        }
-
-        if contains_word(s, "unsafe") && !allowed(Rule::Unsafe, idx) {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_no,
-                rule: Rule::Unsafe,
-                message: "`unsafe` is forbidden workspace-wide (see \
-                          `#![forbid(unsafe_code)]` in the crate roots)"
-                    .to_string(),
-            });
-        }
-
-        if s.contains("thread_rng") && !allowed(Rule::ThreadRng, idx) {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_no,
-                rule: Rule::ThreadRng,
-                message: "`thread_rng()` breaks reproducibility — thread an explicit \
-                          seeded Rng instead"
-                    .to_string(),
-            });
-        }
-
-        if let Some(op) = float_literal_comparison(s) {
-            if !allowed(Rule::FloatEq, idx) {
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: line_no,
-                    rule: Rule::FloatEq,
-                    message: format!(
-                        "`{op}` against a float literal — exact float comparison is \
-                         almost always a bug; compare with a tolerance"
-                    ),
-                });
-            }
-        }
-
-        if class.docs_required {
-            if let Some(name) = undocumented_pub_fn(&stripped, &lines, idx) {
-                if !allowed(Rule::MissingDocs, idx) {
-                    out.push(Violation {
-                        file: rel.to_path_buf(),
-                        line: line_no,
-                        rule: Rule::MissingDocs,
-                        message: format!("public function `{name}` has no doc comment"),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Parse `sor-check: allow(a, b)`-style id lists out of a raw source
-/// line. Semantic rule ids (not in [`ALL_RULES`]) come through too —
-/// the rules in [`rules`] match on the raw strings.
-pub fn parse_allow_ids(line: &str, marker: &str) -> Vec<String> {
-    let Some(pos) = line.find(marker) else {
-        return Vec::new();
-    };
-    let rest = &line[pos + marker.len()..];
-    let Some(end) = rest.find(')') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .map(|id| id.trim().to_string())
-        .filter(|id| !id.is_empty())
-        .collect()
-}
-
-/// Parse `sor-check: allow(a, b)`-style lists of lexical rules.
-fn parse_allow(line: &str, marker: &str) -> Vec<Rule> {
-    parse_allow_ids(line, marker)
-        .iter()
-        .filter_map(|id| Rule::from_id(id))
-        .collect()
-}
-
-/// Is token `word` present with identifier boundaries on both sides?
-fn contains_word(s: &str, word: &str) -> bool {
-    let mut search = 0;
-    while let Some(rel_pos) = s[search..].find(word) {
-        let pos = search + rel_pos;
-        search = pos + word.len();
-        let before_ok = s[..pos]
-            .chars()
-            .next_back()
-            .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
-        let after_ok = s[pos + word.len()..]
-            .chars()
-            .next()
-            .is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_'));
-        if before_ok && after_ok {
-            return true;
-        }
-    }
-    false
-}
-
-/// All narrowing integer `as`-cast targets on a stripped line.
-fn lossy_cast_targets(s: &str) -> Vec<&'static str> {
-    let mut found = Vec::new();
-    let mut search = 0;
-    while let Some(rel_pos) = s[search..].find(" as ") {
-        let pos = search + rel_pos;
-        search = pos + 4;
-        let after = &s[pos + 4..];
-        let token: String = after
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if let Some(t) = NARROW_INT_TARGETS.iter().find(|t| **t == token) {
-            found.push(*t);
-        }
-    }
-    found
-}
-
-/// Returns the comparison operator if the line compares against a float
-/// literal with `==` or `!=`.
-fn float_literal_comparison(s: &str) -> Option<&'static str> {
-    for (op, len) in [("==", 2), ("!=", 2)] {
-        let mut search = 0;
-        while let Some(rel_pos) = s[search..].find(op) {
-            let pos = search + rel_pos;
-            search = pos + len;
-            // reject `<=`, `>=`, `=>`, `===`-like neighborhoods
-            let before = s[..pos].chars().next_back();
-            let after = s[pos + len..].chars().next();
-            if matches!(before, Some('<') | Some('>') | Some('=') | Some('!'))
-                || matches!(after, Some('='))
-            {
-                continue;
-            }
-            let left = last_token(&s[..pos]);
-            let right = first_token(&s[pos + len..]);
-            if is_float_literal(left) || is_float_literal(right) {
-                return Some(op);
-            }
-        }
-    }
-    None
-}
-
-fn last_token(s: &str) -> &str {
-    let trimmed = s.trim_end();
-    let start = trimmed
-        .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '-'))
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    &trimmed[start..]
-}
-
-fn first_token(s: &str) -> &str {
-    let trimmed = s.trim_start();
-    let end = trimmed
-        .char_indices()
-        .find(|&(i, c)| {
-            !(c.is_ascii_alphanumeric() || c == '_' || c == '.' || (c == '-' && i == 0))
-        })
-        .map(|(i, _)| i)
-        .unwrap_or(trimmed.len());
-    &trimmed[..end]
-}
-
-/// Lexical float-literal shapes: `1.0`, `.5`, `2.`, `1e-9`, `1.5f64`.
-fn is_float_literal(token: &str) -> bool {
-    let has_suffix = token.ends_with("f64") || token.ends_with("f32");
-    let t = token.strip_prefix('-').unwrap_or(token);
-    let t = t
-        .strip_suffix("f64")
-        .or_else(|| t.strip_suffix("f32"))
-        .unwrap_or(t);
-    if t.is_empty() || !t.starts_with(|c: char| c.is_ascii_digit() || c == '.') {
-        return false;
-    }
-    let has_dot = t.contains('.');
-    let has_exp = t.chars().any(|c| c == 'e' || c == 'E');
-    if !has_dot && !has_exp && !has_suffix {
-        return false; // plain integer literal
-    }
-    t.chars()
-        .all(|c| c.is_ascii_digit() || c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+')
-        && t.chars().any(|c| c.is_ascii_digit())
-}
-
-/// If line `idx` declares a `pub fn` with no doc comment or `#[doc]`
-/// attribute above it, return the function name.
-fn undocumented_pub_fn(stripped: &[String], raw: &[&str], idx: usize) -> Option<String> {
-    let s = stripped[idx].trim_start();
-    let rest = s.strip_prefix("pub fn ")?;
-    let name: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    // walk upward over attributes/blank lines looking for a doc comment
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let above = raw[i].trim_start();
-        if above.starts_with("///") || above.starts_with("#[doc") || above.starts_with("#![doc") {
-            return None;
-        }
-        if above.starts_with("#[") || above.is_empty() {
-            continue;
-        }
-        let _ = &stripped[i];
-        break;
-    }
-    Some(name)
-}
-
-/// Recursively collect `.rs` files under `root/crates` and `root/src`,
-/// scan each, and return all violations sorted by path and line.
-pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let mut files = Vec::new();
-    for top in ["crates", "src"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            collect_rs_files(&dir, &mut files)?;
-        }
-    }
-    let mut out = Vec::new();
-    for file in files {
-        let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-        let Some(class) = classify(&rel) else {
-            continue;
-        };
-        let text = std::fs::read_to_string(&file)?;
-        out.extend(scan_file(&rel, &text, class));
-    }
-    out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
-    Ok(out)
-}
-
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.is_dir() {
-            collect_rs_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
 /// An analysis failure that is not a finding: unreadable sources, a
 /// malformed `check.toml`, or a malformed baseline.
 #[derive(Debug)]
 pub enum AnalysisError {
     /// Filesystem error while loading sources.
     Io(std::io::Error),
-    /// `check.toml` did not parse or declared an invalid layering.
+    /// `check.toml` did not parse.
     Config(config::ConfigError),
 }
 
@@ -545,11 +75,9 @@ impl From<config::ConfigError> for AnalysisError {
     }
 }
 
-/// Run both passes — the lexical rules of PR 1 and the semantic
-/// item-graph rules — over the workspace at `root`, returning every
-/// finding sorted by path, line, and rule. `check.toml` at `root`
-/// configures the semantic rules; without it they are skipped (except
-/// those that need no configuration).
+/// Run every rule over the workspace at `root`, returning every finding
+/// sorted by path, line, and rule. `check.toml` at `root` scopes the
+/// rules; without it they are skipped.
 pub fn analyze_workspace(root: &Path) -> Result<Vec<report::Finding>, AnalysisError> {
     analyze_workspace_with_cost(root).map(|(f, _)| f)
 }
@@ -560,13 +88,8 @@ pub fn analyze_workspace_with_cost(
     root: &Path,
 ) -> Result<(Vec<report::Finding>, Vec<rules::hotpath::EntryCost>), AnalysisError> {
     let cfg = config::Config::load(root)?;
-    let mut findings: Vec<report::Finding> = scan_workspace(root)?
-        .into_iter()
-        .map(report::Finding::from)
-        .collect();
     let ws = graph::load_workspace(root)?;
-    let (semantic, cost) = rules::run_semantic_with_cost(&ws, &cfg);
-    findings.extend(semantic);
+    let (mut findings, cost) = rules::run_semantic_with_cost(&ws, &cfg);
     findings.sort_by(|a, b| {
         a.file
             .cmp(&b.file)
@@ -575,132 +98,4 @@ pub fn analyze_workspace_with_cost(
             .then(a.symbol.cmp(&b.symbol))
     });
     Ok((findings, cost))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn scan(path: &str, text: &str) -> Vec<Violation> {
-        let rel = PathBuf::from(path);
-        let class = classify(&rel).expect("classified");
-        scan_file(&rel, text, class)
-    }
-
-    #[test]
-    fn classification() {
-        assert!(
-            classify(Path::new("crates/graph/src/graph.rs"))
-                .unwrap()
-                .library
-        );
-        assert!(
-            classify(Path::new("crates/graph/src/graph.rs"))
-                .unwrap()
-                .cast_strict
-        );
-        assert!(
-            classify(Path::new("crates/core/src/lib.rs"))
-                .unwrap()
-                .docs_required
-        );
-        assert!(
-            !classify(Path::new("crates/te/src/churn.rs"))
-                .unwrap()
-                .cast_strict
-        );
-        assert!(
-            !classify(Path::new("crates/bench/src/lib.rs"))
-                .unwrap()
-                .library
-        );
-        assert!(classify(Path::new("crates/graph/tests/props.rs")).is_none());
-        assert!(classify(Path::new("crates/bench/benches/kernels.rs")).is_none());
-        assert!(!classify(Path::new("src/bin/sor.rs")).unwrap().library);
-        assert!(classify(Path::new("src/cli.rs")).unwrap().library);
-        assert!(classify(Path::new("README.md")).is_none());
-    }
-
-    #[test]
-    fn unwrap_rule_fires_and_allows() {
-        let v = scan("crates/graph/src/x.rs", "fn f() { y.unwrap(); }\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Unwrap);
-        assert_eq!(v[0].line, 1);
-        let ok = scan(
-            "crates/graph/src/x.rs",
-            "// sor-check: allow(unwrap) — length checked above\nfn f() { y.unwrap(); }\n",
-        );
-        assert!(ok.is_empty(), "{ok:?}");
-    }
-
-    #[test]
-    fn unwrap_ignored_in_tests_and_strings() {
-        let text = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { x.unwrap(); panic!(\"boom\"); }\n}\n";
-        assert!(scan("crates/flow/src/x.rs", text).is_empty());
-        let text2 = "fn f() { let s = \".unwrap()\"; }\n// .expect( in a comment\n";
-        assert!(scan("crates/flow/src/x.rs", text2).is_empty());
-    }
-
-    #[test]
-    fn lossy_cast_rule() {
-        let v = scan("crates/flow/src/x.rs", "fn f(x: f64) -> u32 { x as u32 }\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::LossyCast);
-        // f64 targets stay legal (widening for metrics)
-        assert!(scan(
-            "crates/flow/src/x.rs",
-            "fn f(n: usize) -> f64 { n as f64 }\n"
-        )
-        .is_empty());
-        // non-strict crates unaffected
-        assert!(scan("crates/te/src/x.rs", "fn f(x: f64) -> u32 { x as u32 }\n").is_empty());
-    }
-
-    #[test]
-    fn thread_rng_rule() {
-        let v = scan("crates/te/src/x.rs", "let mut rng = rand::thread_rng();\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::ThreadRng);
-    }
-
-    #[test]
-    fn float_eq_rule() {
-        let v = scan("crates/sched/src/x.rs", "if x == 1.0 { }\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::FloatEq);
-        assert_eq!(scan("crates/sched/src/x.rs", "if 0.5 != y { }\n").len(), 1);
-        // integers, <=, >= are fine
-        assert!(scan("crates/sched/src/x.rs", "if x == 1 && y <= 2.0 { }\n").is_empty());
-        assert!(scan("crates/sched/src/x.rs", "if (a - b).abs() < 1e-9 { }\n").is_empty());
-    }
-
-    #[test]
-    fn missing_docs_rule() {
-        let bad = "impl X {\n    pub fn frob(&self) {}\n}\n";
-        let v = scan("crates/core/src/x.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::MissingDocs);
-        assert!(v[0].message.contains("frob"));
-        let good = "impl X {\n    /// Frobs.\n    pub fn frob(&self) {}\n}\n";
-        assert!(scan("crates/core/src/x.rs", good).is_empty());
-        let attr = "impl X {\n    /// Frobs.\n    #[inline]\n    pub fn frob(&self) {}\n}\n";
-        assert!(scan("crates/core/src/x.rs", attr).is_empty());
-        // other crates don't require docs
-        assert!(scan("crates/sched/src/x.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn allow_file_suppresses_everywhere() {
-        let text = "// sor-check: allow-file(float-eq)\nfn f() { if x == 1.0 {} if y == 2.0 {} }\n";
-        assert!(scan("crates/sched/src/x.rs", text).is_empty());
-    }
-
-    #[test]
-    fn violation_display_names_file_line_rule() {
-        let v = scan("crates/graph/src/x.rs", "fn f() { y.unwrap(); }\n");
-        let shown = v[0].to_string();
-        assert!(shown.contains("crates/graph/src/x.rs:1"), "{shown}");
-        assert!(shown.contains("[unwrap]"), "{shown}");
-    }
 }

@@ -1,10 +1,9 @@
 //! Driver for the workspace analysis: `cargo run -p sor-check`.
 //!
-//! Runs the lexical lint rules *and* the semantic item-graph pass
-//! (layering / panic-reachability / determinism / dead-API) over the
-//! workspace root (or an explicit root passed as the first positional
-//! argument, used by the integration tests to point at seeded
-//! fixtures).
+//! Runs the item-graph rules (panic reachability, determinism, dead API,
+//! hot-path cost) over the workspace root (or an explicit root passed as
+//! the first positional argument, used by the integration tests to point
+//! at seeded fixtures).
 //!
 //! ```text
 //! sor-check [ROOT] [--format text|json|sarif] [--output PATH]
@@ -31,7 +30,7 @@ use std::process::ExitCode;
 
 use sor_check::report::{explain, render_json, render_sarif, render_text, RULE_DESCRIPTIONS};
 use sor_check::rules::hotpath::{render_cost_json, render_cost_table};
-use sor_check::{analyze_workspace_with_cost, baseline, ALL_RULES};
+use sor_check::{analyze_workspace_with_cost, baseline};
 
 /// Parsed command line.
 struct Opts {
@@ -121,13 +120,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                let mut ids: Vec<&str> = ALL_RULES.iter().map(|r| r.id()).collect();
-                let extra: Vec<&str> = RULE_DESCRIPTIONS
-                    .iter()
-                    .map(|(i, _)| *i)
-                    .filter(|i| !ids.contains(i))
-                    .collect();
-                ids.extend(extra);
+                let ids: Vec<&str> = RULE_DESCRIPTIONS.iter().map(|(i, _)| *i).collect();
                 eprintln!(
                     "sor-check: unknown rule `{id}` — valid ids: {}",
                     ids.join(", ")

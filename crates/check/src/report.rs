@@ -1,8 +1,6 @@
 //! Unified findings and the three output formats.
 //!
-//! Both passes funnel into [`Finding`]: the lexical rules of PR 1 (via
-//! [`crate::Violation`]) and the semantic rules built on the item
-//! graph. A finding carries an optional *witness* — for
+//! Every rule reports a [`Finding`]. A finding carries an optional *witness* — for
 //! panic-reachability, the shortest call chain from the reported public
 //! function to the offending site — and a stable [`Finding::fingerprint`]
 //! that the baseline mechanism keys on (deliberately line-free, so
@@ -15,30 +13,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use crate::Violation;
-
-/// Identifier and one-line description of every rule either pass can
-/// fire, in reporting order (used for SARIF rule metadata and `--help`).
-pub const RULE_DESCRIPTIONS: [(&str, &str); 19] = [
-    ("unwrap", "no .unwrap()/.expect()/panic! in library code"),
-    (
-        "lossy-cast",
-        "no narrowing `as` casts in numeric-core crates",
-    ),
-    (
-        "thread-rng",
-        "no thread_rng(); randomness is seeded and explicit",
-    ),
-    ("float-eq", "no ==/!= against float literals"),
-    (
-        "missing-docs",
-        "sor-core public functions carry doc comments",
-    ),
-    ("unsafe-code", "no unsafe blocks anywhere in the workspace"),
-    (
-        "layering",
-        "crate references respect the declared layer DAG",
-    ),
+/// Identifier and one-line description of every rule, in reporting
+/// order (used for SARIF rule metadata and `--explain`).
+pub const RULE_DESCRIPTIONS: [(&str, &str); 8] = [
     (
         "panic-path",
         "no panic reachable from public solver-crate functions",
@@ -54,22 +31,6 @@ pub const RULE_DESCRIPTIONS: [(&str, &str); 19] = [
     (
         "dead-api",
         "public items are referenced somewhere outside their crate",
-    ),
-    (
-        "lock-order",
-        "lock acquisition order forms a DAG across the call graph",
-    ),
-    (
-        "held-lock",
-        "no expensive or blocking calls while a lock guard is live",
-    ),
-    (
-        "atomics",
-        "atomic orderings are minimal, justified, and consistent per field",
-    ),
-    (
-        "rayon-ready",
-        "parallel-target call trees avoid non-Send and interior-mutable state",
     ),
     (
         "alloc-in-hot",
@@ -93,45 +54,12 @@ pub const RULE_DESCRIPTIONS: [(&str, &str); 19] = [
 /// `(id, doc, config keys)`.
 pub fn explain(id: &str) -> Option<String> {
     let (doc, keys): (&str, &str) = match id {
-        "unwrap" => (
-            "Library code must not call .unwrap()/.expect() or panic!/unreachable!/\n\
-             todo!/unimplemented!. Propagate a Result or handle the None arm; tests,\n\
-             benches and examples are exempt.",
-            "none (lexical; scope is the LIB_CRATES list)",
-        ),
-        "lossy-cast" => (
-            "Numeric-core crates must not use narrowing `as` casts (u64 as u32,\n\
-             f64 as f32, usize as u32, ...). Use NodeId::from_usize-style checked\n\
-             constructors or try_into.",
-            "none (lexical)",
-        ),
-        "thread-rng" => (
-            "thread_rng() draws from ambient entropy and destroys reproducibility.\n\
-             All randomness flows from an explicit seed.",
-            "none (lexical)",
-        ),
-        "float-eq" => (
-            "Float == / != against literals is almost never what a solver means;\n\
-             compare against a tolerance.",
-            "none (lexical)",
-        ),
-        "missing-docs" => (
-            "Public functions of sor-core carry /// doc comments.",
-            "none (lexical)",
-        ),
-        "unsafe-code" => (
-            "The workspace forbids unsafe blocks; every crate root also carries\n\
-             #![forbid(unsafe_code)].",
-            "none (lexical)",
-        ),
-        "layering" => (
-            "Crate references must respect the DAG declared in [layers]: a crate may\n\
-             reference only the transitive closure of its declared dependencies.",
-            "[layers] <crate> = [<deps>...]",
-        ),
         "panic-path" => (
             "No panic site may be reachable from a pub fn of the configured crates,\n\
-             over the workspace call graph; the witness is the shortest call chain.",
+             over the workspace call graph; the witness is the shortest call chain.\n\
+             A site is also excused by the compiler-checked exception on its\n\
+             statement: #[expect(clippy::expect_used, reason = \"..\")] (or\n\
+             clippy::unwrap_used / clippy::panic), which fails the build once stale.",
             "[panics] public_crates, include_indexing, index_crates",
         ),
         "unseeded-rng" => (
@@ -149,31 +77,8 @@ pub fn explain(id: &str) -> Option<String> {
              their own crate.",
             "[dead-api] crates",
         ),
-        "lock-order" => (
-            "Lock acquisitions (lexical .lock()/.read()/.write() sites, closed over\n\
-             the layering-filtered call graph) must form a DAG; each strongly\n\
-             connected tangle reports one shortest witness cycle.",
-            "[concurrency] crates",
-        ),
-        "held-lock" => (
-            "No call reaching a function named in `expensive` may run while a lock\n\
-             guard is lexically live. Guard-producing acquisition calls are\n\
-             recognized by site, so io::Write::write/flush can be listed.",
-            "[concurrency] crates, expensive",
-        ),
-        "atomics" => (
-            "Atomic orderings are audited per field: SeqCst needs a justified allow,\n\
-             counters may relax, and one field must not mix orderings.",
-            "[concurrency] crates",
-        ),
-        "rayon-ready" => (
-            "Everything reachable from the configured parallel targets must avoid\n\
-             non-Send and interior-mutable state (Rc, RefCell, Cell, raw pointers,\n\
-             thread_local!).",
-            "[concurrency] parallel_targets",
-        ),
         "alloc-in-hot" => (
-            "Walks the layering-filtered call graph from each [hotpath] entry; every\n\
+            "Walks the dependency-filtered call graph from each [hotpath] entry; every\n\
              non-clone heap-allocation site (Vec::new, vec![, String::new, Box::new,\n\
              .collect(), .to_vec(), ...) whose effective loop depth — the maximum\n\
              lexical loop depth along the shortest witness chain, call sites\n\
@@ -208,7 +113,7 @@ pub fn explain(id: &str) -> Option<String> {
     ))
 }
 
-/// One finding from either pass.
+/// One finding of one rule.
 #[derive(Clone, Debug)]
 pub struct Finding {
     /// Stable rule identifier (see [`RULE_DESCRIPTIONS`]).
@@ -238,19 +143,6 @@ impl Finding {
             &self.symbol
         };
         format!("{}:{}:{}", self.rule, self.file.display(), anchor)
-    }
-}
-
-impl From<Violation> for Finding {
-    fn from(v: Violation) -> Finding {
-        Finding {
-            rule: v.rule.id().to_string(),
-            file: v.file,
-            line: v.line,
-            symbol: String::new(),
-            message: v.message,
-            witness: Vec::new(),
-        }
     }
 }
 

@@ -2,10 +2,9 @@
 //!
 //! `check.toml [hotpath] entries` names the hot entry points (the
 //! ROADMAP-2 builders, the sor-serve epoch loop, the sor-perf kernels).
-//! [`Hot::build`] walks the layering-filtered call graph (the same
-//! [`super::concurrency::Model::calls`] view the concurrency rules
-//! traverse) breadth-first from each entry, remembering the shortest
-//! witness chain to every reachable function and the maximum lexical
+//! [`Hot::build`] walks the dependency-filtered call graph
+//! ([`dependency_calls`]) breadth-first from each entry, remembering the
+//! shortest witness chain to every reachable function and the maximum lexical
 //! loop depth among the call sites along that chain. Combining the
 //! chain depth with each allocation site's own loop depth (recorded by
 //! `items.rs`) yields the site's *effective depth*: how many loops —
@@ -29,9 +28,49 @@ use crate::items::AllocKind;
 use crate::report::{json_escape, Finding};
 
 use super::allows;
-use super::concurrency::Model;
 
-/// One entry's BFS tree over the layering-filtered call graph.
+/// `graph.calls` restricted to edges Cargo permits: a caller may reach
+/// its own crate and the transitive closure of its manifest's
+/// `[dependencies]`. Name resolution over-approximates at the workspace
+/// tier, and an edge into a crate the caller cannot even name (e.g. an
+/// atomic `.load(..)` resolving to another crate's `Config::load`) is an
+/// artifact, not a call. A crate without a manifest keeps every edge.
+pub fn dependency_calls(ws: &Workspace, graph: &ItemGraph) -> Vec<Vec<usize>> {
+    let mut closures: BTreeMap<&str, Option<BTreeSet<&str>>> = BTreeMap::new();
+    graph
+        .calls
+        .iter()
+        .enumerate()
+        .map(|(g, cs)| {
+            let gk = ws.files[graph.fns[g].file].krate.as_str();
+            let allowed = closures
+                .entry(gk)
+                .or_insert_with(|| dependency_closure(ws, gk));
+            cs.iter()
+                .copied()
+                .filter(|&k| {
+                    let kk = ws.files[graph.fns[k].file].krate.as_str();
+                    kk == gk || allowed.as_ref().is_none_or(|s| s.contains(kk))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Every package `krate` depends on, directly or transitively; `None`
+/// when `krate` has no manifest.
+fn dependency_closure<'a>(ws: &'a Workspace, krate: &str) -> Option<BTreeSet<&'a str>> {
+    let mut out: BTreeSet<&str> = BTreeSet::new();
+    let mut stack: Vec<&str> = ws.deps.get(krate)?.iter().map(String::as_str).collect();
+    while let Some(k) = stack.pop() {
+        if out.insert(k) {
+            stack.extend(ws.deps.get(k).into_iter().flatten().map(String::as_str));
+        }
+    }
+    Some(out)
+}
+
+/// One entry's BFS tree over the dependency-filtered call graph.
 pub struct EntryTree {
     /// The configured spec (`name` or `crate::name`).
     pub spec: String,
@@ -53,8 +92,9 @@ pub struct Hot {
 
 impl Hot {
     /// Resolve each `[hotpath]` entry spec and walk its call tree.
-    pub fn build(ws: &Workspace, graph: &ItemGraph, model: &Model, cfg: &Config) -> Hot {
+    pub fn build(ws: &Workspace, graph: &ItemGraph, cfg: &Config) -> Hot {
         let n = graph.fns.len();
+        let calls = dependency_calls(ws, graph);
         let mut in_tree = vec![false; n];
         let mut trees = Vec::new();
         // Per caller: callee name → max loop depth among its call sites.
@@ -87,7 +127,7 @@ impl Hot {
                 }
             }
             while let Some(g) = queue.pop_front() {
-                for &k in &model.calls[g] {
+                for &k in &calls[g] {
                     if reached[k] {
                         continue;
                     }
@@ -397,12 +437,44 @@ mod tests {
         let w = ws(text);
         let cfg = Config::parse(cfg_text).expect("cfg");
         let graph = ItemGraph::build(&w);
-        let model = Model::build(&w, &graph, &cfg);
-        let hot = Hot::build(&w, &graph, &model, &cfg);
+        let hot = Hot::build(&w, &graph, &cfg);
         (
             run(&w, &graph, &hot, &cfg),
             cost_report(&w, &graph, &hot, &cfg),
         )
+    }
+
+    #[test]
+    fn calls_outside_the_manifest_closure_are_dropped() {
+        // `entry` (sor-core) calls `helper`, which sor-graph and sor-serve
+        // both define; name resolution links both.
+        let mut w = Workspace::default();
+        for (path, krate, text) in [
+            (
+                "crates/core/src/a.rs",
+                "sor-core",
+                "pub fn entry() {\n    helper();\n}\n",
+            ),
+            ("crates/graph/src/b.rs", "sor-graph", "pub fn helper() {}\n"),
+            ("crates/serve/src/c.rs", "sor-serve", "pub fn helper() {}\n"),
+        ] {
+            w.files.push(parse_file(Path::new(path), krate, text));
+        }
+        let graph = ItemGraph::build(&w);
+        let callees = |w: &Workspace| -> Vec<String> {
+            dependency_calls(w, &graph)[0]
+                .iter()
+                .map(|&k| w.files[graph.fns[k].file].krate.clone())
+                .collect()
+        };
+        // Without a manifest every edge stays.
+        assert_eq!(callees(&w), vec!["sor-graph", "sor-serve"]);
+        // sor-core → sor-flow → sor-graph: the closure is transitive and
+        // sor-serve is outside it.
+        w.deps
+            .insert("sor-core".into(), vec!["sor-flow".into(), "rand".into()]);
+        w.deps.insert("sor-flow".into(), vec!["sor-graph".into()]);
+        assert_eq!(callees(&w), vec!["sor-graph"]);
     }
 
     #[test]

@@ -128,7 +128,6 @@ pub fn run(ws: &Workspace, graph: &ItemGraph, hot: &Hot, cfg: &Config) -> Vec<Fi
 
 #[cfg(test)]
 mod tests {
-    use super::super::concurrency::Model;
     use super::*;
     use crate::items::parse_file;
     use std::path::Path;
@@ -142,8 +141,7 @@ mod tests {
         ));
         let cfg = Config::parse("[hotpath]\nentries = [\"entry\"]\n").expect("cfg");
         let graph = ItemGraph::build(&w);
-        let model = Model::build(&w, &graph, &cfg);
-        let hot = Hot::build(&w, &graph, &model, &cfg);
+        let hot = Hot::build(&w, &graph, &cfg);
         run(&w, &graph, &hot, &cfg)
     }
 

@@ -7,19 +7,19 @@
 //! a panic site is reachable is reported once, with the *shortest*
 //! witness call chain (BFS) ending in the concrete site.
 //!
-//! The lexical `allow(unwrap)` comments deliberately do **not** silence
-//! this rule: they certify that a site's invariant is documented, not
-//! that the panic is acceptable on a public solver path. A site is
-//! excluded from reachability only with `allow(panic-path)` at the
-//! site, and a public function is excused only with `allow(panic-path)`
-//! at its declaration — everything else is fixed or baselined.
+//! A site is excluded from reachability only by a justified exception
+//! at the site: `allow(panic-path)`, or the compiler-checked
+//! `#[expect(clippy::expect_used | clippy::panic, reason = "…")]` on the
+//! statement holding it (see [`super::expects_panic`]). A public function
+//! is excused only with `allow(panic-path)` at its declaration;
+//! everything else is fixed or baselined.
 
 use crate::config::Config;
 use crate::graph::{ItemGraph, Workspace};
 use crate::items::{PanicKind, PanicSite, Visibility};
 use crate::report::Finding;
 
-use super::allows;
+use super::{allows, expects_panic};
 
 /// Run the panic-reachability rule.
 pub fn run(ws: &Workspace, graph: &ItemGraph, cfg: &Config) -> Vec<Finding> {
@@ -41,6 +41,7 @@ pub fn run(ws: &Workspace, graph: &ItemGraph, cfg: &Config) -> Vec<Finding> {
                         || cfg.panic_include_indexing
                         || cfg.panic_index_crates.iter().any(|c| c == &file.krate))
                         && !allows(file, site.line, "panic-path")
+                        && !expects_panic(file, site.line)
                 })
                 .collect()
         })
@@ -228,14 +229,20 @@ mod tests {
     }
 
     #[test]
-    fn lexical_unwrap_allow_does_not_silence() {
-        let ws = ws(&[(
-            "crates/flow/src/a.rs",
-            "sor-flow",
-            "pub fn entry(o: Option<u32>) {\n    // sor-check: allow(unwrap) — invariant documented\n    o.unwrap();\n}\n",
-        )]);
-        let graph = ItemGraph::build(&ws);
-        assert_eq!(run(&ws, &graph, &cfg()).len(), 1);
+    fn expect_attribute_excuses_only_its_statement() {
+        let text = "pub fn entry(o: Option<u32>) -> u32 {\n    \
+                    #[expect(clippy::unwrap_used, reason = \"caller checked o\")]\n    \
+                    let a = o.unwrap();\n    a + o.unwrap()\n}\n";
+        let ws1 = ws(&[("crates/flow/src/a.rs", "sor-flow", text)]);
+        let graph = ItemGraph::build(&ws1);
+        let fs = run(&ws1, &graph, &cfg());
+        // The second unwrap sits outside the annotated statement.
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(fs[0].message.contains("a.rs:4"), "{}", fs[0].message);
+        let excused = text.replace("a + o.unwrap()", "a");
+        let ws2 = ws(&[("crates/flow/src/a.rs", "sor-flow", &excused)]);
+        let graph = ItemGraph::build(&ws2);
+        assert!(run(&ws2, &graph, &cfg()).is_empty());
     }
 
     #[test]

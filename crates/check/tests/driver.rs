@@ -1,15 +1,20 @@
 //! End-to-end tests for the `sor-check` driver: the binary must exit
-//! non-zero on a workspace seeded with violations, zero on a clean one,
+//! non-zero on a workspace seeded with findings, zero on a clean one,
 //! and zero on the real workspace (the acceptance gate CI enforces).
-//! The semantic pass is covered against the same fixtures: every
-//! item-graph rule fires on `bad_ws`, witness chains are exact, and the
+//! Every rule fires on `bad_ws`, witness chains are exact, and the
 //! baseline turns the gate regression-only.
+
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers: a failed setup fails the test"
+)]
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use sor_check::analyze_workspace;
 use sor_check::baseline::{parse_json, Json};
-use sor_check::{analyze_workspace, scan_workspace, Rule};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -23,49 +28,6 @@ fn workspace_root() -> PathBuf {
         .and_then(Path::parent)
         .expect("crates/check has a workspace root two levels up")
         .to_path_buf()
-}
-
-#[test]
-fn seeded_fixture_triggers_every_rule() {
-    let violations = scan_workspace(&fixture("bad_ws")).expect("scan bad_ws");
-    let fired: Vec<Rule> = violations.iter().map(|v| v.rule).collect();
-    for rule in sor_check::ALL_RULES {
-        assert!(
-            fired.contains(&rule),
-            "rule {rule} did not fire on the seeded fixture; got: {violations:#?}"
-        );
-    }
-    // the documented fn in the core fixture must not fire
-    assert!(
-        !violations.iter().any(|v| v.rule == Rule::MissingDocs
-            && v.message.contains("documented")
-            && !v.message.contains("undocumented")),
-        "documented fn wrongly flagged: {violations:#?}"
-    );
-}
-
-#[test]
-fn clean_fixture_passes() {
-    let violations = scan_workspace(&fixture("clean_ws")).expect("scan clean_ws");
-    assert!(
-        violations.is_empty(),
-        "clean fixture flagged: {violations:#?}"
-    );
-}
-
-#[test]
-fn real_workspace_is_clean() {
-    let violations = scan_workspace(&workspace_root()).expect("scan workspace");
-    assert!(
-        violations.is_empty(),
-        "workspace has {} lint violation(s):\n{}",
-        violations.len(),
-        violations
-            .iter()
-            .map(|v| v.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }
 
 #[test]
@@ -90,15 +52,10 @@ fn binary_exits_zero_on_clean_fixture() {
 fn semantic_rules_all_fire_on_bad_ws() {
     let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
     for rule in [
-        "layering",
         "panic-path",
         "unseeded-rng",
         "hash-order",
         "dead-api",
-        "lock-order",
-        "held-lock",
-        "atomics",
-        "rayon-ready",
         "alloc-in-hot",
         "clone-in-loop",
         "growth-without-capacity",
@@ -125,16 +82,12 @@ fn panic_path_reports_shortest_witness_chain() {
     assert!(f.witness[2].contains("solver_deep"), "{:?}", f.witness);
     assert!(f.witness[3].contains(".expect("), "{:?}", f.witness);
     assert!(f.message.contains("2 calls deep"), "{}", f.message);
-}
-
-#[test]
-fn layering_violation_names_the_illegal_edge() {
-    let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
+    // `excused_entry`'s only site carries `#[expect(clippy::expect_used, ..)]`.
     assert!(
-        findings
+        !findings
             .iter()
-            .any(|f| f.rule == "layering" && f.symbol == "sor-graph -> sor-core"),
-        "expected a sor-graph -> sor-core layering finding; got: {findings:#?}"
+            .any(|f| f.rule == "panic-path" && f.symbol.ends_with("excused_entry")),
+        "{findings:#?}"
     );
 }
 
@@ -142,118 +95,6 @@ fn layering_violation_names_the_illegal_edge() {
 fn clean_fixture_has_no_semantic_findings() {
     let findings = analyze_workspace(&fixture("clean_ws")).expect("analyze clean_ws");
     assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn lock_order_reports_the_seeded_inversion_verbatim() {
-    let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
-    let f = findings
-        .iter()
-        .find(|f| f.rule == "lock-order")
-        .expect("lock-order finding");
-    assert_eq!(f.symbol, "sor-core/alpha→sor-core/beta");
-    assert_eq!(
-        f.witness,
-        vec![
-            "sor-core/alpha → sor-core/beta in sor-core::conc::Pair::lock_ab \
-             (crates/core/src/conc.rs:17)"
-                .to_string(),
-            "sor-core/beta → sor-core/alpha in sor-core::conc::Pair::lock_ba \
-             (crates/core/src/conc.rs:25) via sor-core::conc::Pair::alpha_only"
-                .to_string(),
-        ],
-        "{:?}",
-        f.witness
-    );
-    assert!(
-        f.message
-            .contains("sor-core/alpha → sor-core/beta → sor-core/alpha"),
-        "{}",
-        f.message
-    );
-}
-
-#[test]
-fn held_lock_reports_the_guarded_solve_verbatim() {
-    let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
-    let f = findings
-        .iter()
-        .find(|f| f.rule == "held-lock")
-        .expect("held-lock finding");
-    assert_eq!(
-        f.symbol,
-        "sor-core::conc::Pair::solve_under_lock:sor-core/alpha->expensive_solve"
-    );
-    assert_eq!(
-        f.witness,
-        vec![
-            "sor-core::conc::Pair::solve_under_lock (crates/core/src/conc.rs:34)".to_string(),
-            "expensive_solve(..) at crates/core/src/conc.rs:36".to_string(),
-        ],
-        "{:?}",
-        f.witness
-    );
-}
-
-#[test]
-fn atomics_audit_reports_counter_seqcst_and_mixed() {
-    let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
-    let symbols: Vec<&str> = findings
-        .iter()
-        .filter(|f| f.rule == "atomics")
-        .map(|f| f.symbol.as_str())
-        .collect();
-    for expected in [
-        "sor-core/events:fetch_add:counter",
-        "sor-core/ready:load:seqcst",
-        "sor-core/events:mixed",
-        "sor-core/ready:mixed",
-    ] {
-        assert!(
-            symbols.contains(&expected),
-            "{expected} missing: {symbols:?}"
-        );
-    }
-    let mixed = findings
-        .iter()
-        .find(|f| f.symbol == "sor-core/ready:mixed")
-        .expect("mixed finding");
-    assert_eq!(
-        mixed.witness,
-        vec![
-            "Ordering::Release on .store(..) at crates/core/src/conc.rs:66".to_string(),
-            "Ordering::Relaxed on .load(..) at crates/core/src/conc.rs:71".to_string(),
-            "Ordering::SeqCst on .load(..) at crates/core/src/conc.rs:76".to_string(),
-        ],
-        "{:?}",
-        mixed.witness
-    );
-}
-
-#[test]
-fn rayon_ready_reports_the_reachable_refcell_verbatim() {
-    let findings = analyze_workspace(&fixture("bad_ws")).expect("analyze bad_ws");
-    let f = findings
-        .iter()
-        .find(|f| f.rule == "rayon-ready" && f.symbol.ends_with(":RefCell"))
-        .expect("rayon-ready RefCell finding");
-    assert_eq!(
-        f.witness,
-        vec![
-            "sor-core::conc::par_entry (crates/core/src/conc.rs:81)".to_string(),
-            "sor-core::conc::shared_cell (crates/core/src/conc.rs:86)".to_string(),
-            "RefCell at crates/core/src/conc.rs:87".to_string(),
-        ],
-        "{:?}",
-        f.witness
-    );
-    // Rc on the same line is reported separately.
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == "rayon-ready" && f.symbol.ends_with(":Rc")),
-        "{findings:#?}"
-    );
 }
 
 #[test]
@@ -425,40 +266,6 @@ fn explain_prints_rule_doc_and_rejects_unknown_ids() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown rule"), "{stderr}");
     assert!(stderr.contains("quadratic-scan"), "{stderr}");
-}
-
-#[test]
-fn sarif_reports_the_two_mutex_inversion() {
-    let out = Command::new(env!("CARGO_BIN_EXE_sor-check"))
-        .arg(fixture("bad_ws"))
-        .arg("--no-baseline")
-        .arg("--format")
-        .arg("sarif")
-        .output()
-        .expect("sarif run");
-    let doc = parse_json(&String::from_utf8_lossy(&out.stdout)).expect("stdout is valid JSON");
-    let results = doc.get("runs").and_then(|r| r.as_arr()).expect("runs")[0]
-        .get("results")
-        .and_then(|r| r.as_arr())
-        .expect("results array");
-    let lock = results
-        .iter()
-        .find(|r| r.get("ruleId").and_then(|id| id.as_str()) == Some("lock-order"))
-        .expect("lock-order SARIF result");
-    let msg = lock
-        .get("message")
-        .and_then(|m| m.get("text"))
-        .and_then(|t| t.as_str())
-        .expect("message text");
-    // The seeded two-mutex inversion, witness folded into the message.
-    assert!(
-        msg.contains("sor-core/alpha → sor-core/beta → sor-core/alpha"),
-        "{msg}"
-    );
-    assert!(
-        msg.contains("via sor-core/alpha → sor-core/beta in"),
-        "{msg}"
-    );
 }
 
 #[test]

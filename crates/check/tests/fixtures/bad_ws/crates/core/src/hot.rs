@@ -3,7 +3,7 @@
 //! allocation in a helper called under its loop, a per-iteration
 //! clone, an un-pre-sized growing collection, and a quadratic scan.
 //! Everything is private so the seeds stay invisible to the
-//! missing-docs and dead-api rules.
+//! dead-api rule.
 
 /// Hot entry: loops over queries calling the allocating helper, then
 /// fans out to the lexical seeds.

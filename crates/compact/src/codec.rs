@@ -98,8 +98,11 @@ impl CompactSystem {
         let mut roster: BTreeMap<(u32, u32), u8> = BTreeMap::new();
         let mut explicit_bits: u64 = 0;
         for (s, t, paths) in system.pairs() {
+            #[expect(
+                clippy::expect_used,
+                reason = "sampled systems are s-sparse for small s"
+            )]
             let count = u8::try_from(paths.len())
-                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                 .expect("sparsity ≤ 255 (sampled systems are s-sparse for small s)");
             roster.insert((s.0, t.0), count);
             explicit_bits += 2 * 32;
@@ -109,9 +112,12 @@ impl CompactSystem {
                 for (i, &e) in p.edges().iter().enumerate() {
                     let u = p.nodes()[i];
                     let next = p.nodes()[i + 1];
-                    let out = local_out(g, u, e, next)
-                        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                        .expect("path edge is incident to its own vertex");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "a path edge is incident to its own vertex"
+                    )]
+                    let out =
+                        local_out(g, u, e, next).expect("path edge is incident to its own vertex");
                     maps[slot][u.index()].entry(dest).or_insert(out);
                 }
             }
@@ -134,9 +140,8 @@ impl CompactSystem {
         };
         for (s, t, paths) in system.pairs() {
             for (slot, p) in paths.iter().enumerate() {
-                let slot_id = u8::try_from(slot)
-                    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                    .expect("slot < sparsity ≤ 255");
+                #[expect(clippy::expect_used, reason = "slot < sparsity ≤ 255")]
+                let slot_id = u8::try_from(slot).expect("slot < sparsity ≤ 255");
                 let replayed = out.walk(g, slot, s, t);
                 if replayed.as_deref() != Some(p.edges()) {
                     let mut exc = Vec::with_capacity(p.edges().len());
@@ -172,6 +177,10 @@ impl CompactSystem {
 
     /// Decode the candidate paths of one pair (empty if the pair is not
     /// covered). Paths come back in the source system's slot order.
+    #[expect(
+        clippy::expect_used,
+        reason = "encode verified that non-exception pairs replay exactly"
+    )]
     pub fn decode_pair(&self, g: &Graph, s: NodeId, t: NodeId) -> Vec<Path> {
         let Some(&count) = self.roster.get(&(s.0, t.0)) else {
             return Vec::new();
@@ -182,12 +191,9 @@ impl CompactSystem {
                     Some(exc) => exc.clone(),
                     None => self
                         .walk(g, usize::from(slot), s, t)
-                        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                         .expect("non-exception pairs replay exactly (verified at encode)"),
                 };
-                Path::from_edges(g, s, edges)
-                    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                    .expect("replayed edges form the original simple path")
+                Path::from_edges(g, s, edges).expect("replayed edges form the original simple path")
             })
             .collect()
     }

@@ -99,7 +99,6 @@ mod tests {
         let tree = routing
             .trees()
             .first()
-            // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
             .expect("RaeckeRouting::build produces at least one tree");
         let report = verify_round_trip(&g, tree, &sampled.system, &demand, Some(3), 0.2);
         assert!(report.systems_equal, "decode diverged from source");
@@ -126,7 +125,6 @@ mod tests {
         let tree = routing
             .trees()
             .first()
-            // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
             .expect("RaeckeRouting::build produces at least one tree");
         let report = verify_round_trip(&g, tree, &sampled.system, &demand, Some(3), 0.2);
         assert!(report.ok());

@@ -39,9 +39,9 @@ impl LabelAssignment {
             let node = &tree.nodes()[i];
             if node.children.is_empty() {
                 for &v in &node.vertices {
-                    let label = u32::try_from(node_of.len())
-                        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                        .expect("node count fits u32 (NodeId is u32)");
+                    #[expect(clippy::expect_used, reason = "node count fits u32 (NodeId is u32)")]
+                    let label =
+                        u32::try_from(node_of.len()).expect("node count fits u32 (NodeId is u32)");
                     label_of[v.index()] = label;
                     node_of.push(v);
                 }

@@ -36,8 +36,6 @@
 //! the format correct by construction; the exception count is part of
 //! the accounting and stays near zero in practice.
 
-#![forbid(unsafe_code)]
-
 pub mod codec;
 pub mod harness;
 pub mod labels;

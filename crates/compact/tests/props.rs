@@ -10,6 +10,12 @@
 //! deduplicated `cc <hash>` line per minimal counterexample) and re-run
 //! before new cases.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers: a failed setup fails the test"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,7 +64,6 @@ fn first_tree(routing: &RaeckeRouting) -> &FrtTree {
     routing
         .trees()
         .first()
-        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
         .expect("RaeckeRouting::build produces at least one tree")
 }
 

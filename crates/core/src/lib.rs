@@ -55,7 +55,7 @@
 //! assert!(semi / opt.congestion_upper < 6.0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 pub mod completion;
 pub mod eval;

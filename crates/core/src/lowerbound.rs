@@ -196,10 +196,12 @@ fn adversary_core(
             continue;
         }
         let ratio = matching.len() as f64 / s_set.len() as f64;
-        if best
-            .as_ref()
-            .is_none_or(|(r, _, bm)| ratio > *r || (ratio == *r && matching.len() > bm.len()))
-        {
+        if best.as_ref().is_none_or(|(r, _, bm)| {
+            ratio
+                .total_cmp(r)
+                .then(matching.len().cmp(&bm.len()))
+                .is_gt()
+        }) {
             best = Some((ratio, s_set.clone(), matching));
         }
     }

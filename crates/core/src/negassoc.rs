@@ -14,9 +14,7 @@
 /// (the `(e·mu/a)^a·e^{−mu}` form, Lemma B.5/B.6 combined); 1 otherwise.
 pub fn chernoff_upper_tail(mu: f64, a: f64) -> f64 {
     assert!(mu >= 0.0 && a >= 0.0);
-    // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
     if a <= mu || mu == 0.0 {
-        // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
         return if mu == 0.0 && a > 0.0 { 0.0 } else { 1.0 };
     }
     (a - mu - a * (a / mu).ln()).exp().min(1.0)
@@ -61,7 +59,6 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
         vx += (x - mx) * (x - mx);
         vy += (y - my) * (y - my);
     }
-    // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
     if vx == 0.0 || vy == 0.0 {
         0.0
     } else {
@@ -76,6 +73,10 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "the tail bound is clamped to exactly 1.0 and 0.0"
+    )]
     fn chernoff_basic_shape() {
         // Tail decreases in a, increases in mu; trivial below the mean.
         assert_eq!(chernoff_upper_tail(5.0, 4.0), 1.0);
@@ -108,6 +109,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "the union bound saturates at exactly 1.0")]
     fn joint_and_union() {
         assert!((joint_tail(&[0.1, 0.2]) - 0.02).abs() < 1e-12);
         assert_eq!(union_bound(1e9, 0.5), 1.0);

@@ -46,7 +46,6 @@ impl ProcessOutcome {
 
     /// Fraction of weight that survived.
     pub fn survival_fraction(&self) -> f64 {
-        // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
         if self.total_weight == 0.0 {
             1.0
         } else {
@@ -96,7 +95,6 @@ pub fn deletion_process_detailed(
     let mut total_weight = 0.0;
     for ((s, t), paths) in &sampled.raw {
         let d = *weight_of_pair.get(&(*s, *t)).unwrap_or(&0.0);
-        // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
         if d == 0.0 || paths.is_empty() {
             continue;
         }
@@ -118,7 +116,6 @@ pub fn deletion_process_detailed(
     #[allow(clippy::cast_possible_truncation)]
     for (i, d) in draws.iter().enumerate() {
         for &e in d.path.edges() {
-            // sor-check: allow(lossy-cast) — draw count < u32::MAX by construction
             crossing[e.index()].push(i as u32);
         }
         loads.add_path(d.path, d.weight);
@@ -132,7 +129,6 @@ pub fn deletion_process_detailed(
             overcongested.push(e);
             let mut deleted_here = 0.0;
             for &di in &crossing[e.index()] {
-                // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
                 let d = &mut draws[di as usize];
                 if d.alive {
                     d.alive = false;
@@ -178,7 +174,6 @@ pub fn weak_failure_rate<O: ObliviousRouting>(
     let pairs = demand_pairs(demand);
     let mut failures = 0usize;
     for t in 0..trials {
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t as u64));
         let sampled = sample_k(routing, &pairs, k, &mut rng);
         let outcome = deletion_process(g, &sampled, demand, tau);
@@ -311,6 +306,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "a survival fraction of zero survivors is exactly 0.0"
+    )]
     fn everything_dies_when_threshold_tiny() {
         let g = gen::cycle_graph(6);
         let r = KspRouting::new(g.clone(), 2);

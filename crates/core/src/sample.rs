@@ -65,8 +65,11 @@ pub fn sample_k_plus_cut<O: ObliviousRouting, R: Rng + ?Sized>(
     let with_counts: Vec<((NodeId, NodeId), usize)> = pairs
         .iter()
         .map(|&(s, t)| {
-            #[allow(clippy::cast_possible_truncation)]
-            // sor-check: allow(lossy-cast) — ceil of a small non-negative cut value
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "ceil of a small non-negative cut value"
+            )]
             let cut = st_min_cut(g, s, t).ceil() as usize;
             ((s, t), k + cut)
         })
@@ -142,13 +145,16 @@ fn sample_counts<O: ObliviousRouting, R: Rng + ?Sized>(
 /// Debug/`validate`-feature self-check: a sampled system must satisfy the
 /// path-system invariants, and its sparsity can never exceed the largest
 /// per-pair draw count.
+#[expect(
+    clippy::panic,
+    reason = "a validator failure is a sampler bug, not recoverable state"
+)]
 fn validate_sample(g: &Graph, sampled: &SampledSystem) {
     if !(cfg!(debug_assertions) || cfg!(feature = "validate")) {
         return;
     }
     let max_draws = sampled.raw.iter().map(|(_, v)| v.len()).max();
     if let Err(msg) = sampled.system.validate_detailed(g, max_draws) {
-        // sor-check: allow(unwrap, panic-path) — validator failure means a sampler bug, not recoverable state
         panic!("sampled path system violates its invariants: {msg}");
     }
 }

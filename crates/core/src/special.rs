@@ -16,7 +16,6 @@ use sor_flow::Demand;
 /// `D(u,v) / N_{u,v} ∈ {0, θ}` for every pair.
 pub fn is_special(demand: &Demand, sampled: &SampledSystem, theta: f64) -> bool {
     demand.entries().iter().all(|&(s, t, d)| {
-        // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
         if d == 0.0 {
             return true;
         }
@@ -46,7 +45,6 @@ pub fn bucketize(
         })
         .collect();
     let max_ratio = ratios.iter().copied().fold(0.0, f64::max);
-    // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
     if max_ratio == 0.0 {
         return vec![Demand::new()];
     }

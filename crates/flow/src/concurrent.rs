@@ -83,7 +83,10 @@ impl std::error::Error for FlowError {}
 pub fn max_concurrent_flow(g: &Graph, demand: &Demand, eps: f64) -> OptResult {
     match try_max_concurrent_flow(g, demand, eps) {
         Ok(r) => r,
-        // sor-check: allow(unwrap, panic-path) — panicking facade over the Result API; contract in the doc comment
+        #[expect(
+            clippy::panic,
+            reason = "panicking facade over the Result API; contract in the doc comment"
+        )]
         Err(e) => panic!("{e}"),
     }
 }
@@ -253,9 +256,12 @@ pub fn max_concurrent_flow_grouped(g: &Graph, demand: &Demand, eps: f64) -> OptR
                     if *rem <= 1e-15 {
                         continue;
                     }
+                    #[expect(
+                        clippy::panic,
+                        reason = "documented contract panic; try_max_concurrent_flow is the fallible form"
+                    )]
                     let path = tree
                         .path_to(g, *t)
-                        // sor-check: allow(unwrap, panic-path) — documented contract panic; the fallible reference solver is try_max_concurrent_flow
                         .unwrap_or_else(|| panic!("demand pair {s}→{t} disconnected"));
                     let bottleneck = path
                         .edges()
@@ -395,6 +401,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "an empty demand has congestion exactly 0.0"
+    )]
     fn empty_demand() {
         let g = gen::cycle_graph(4);
         let r = max_concurrent_flow(&g, &Demand::new(), 0.1);

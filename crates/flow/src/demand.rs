@@ -50,7 +50,6 @@ impl Demand {
     /// Add `amount` to pair `(s, t)`.
     pub fn add(&mut self, s: NodeId, t: NodeId, amount: f64) {
         assert!(s != t && amount.is_finite() && amount >= 0.0);
-        // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
         if amount == 0.0 {
             return;
         }

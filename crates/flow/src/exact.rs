@@ -21,7 +21,6 @@ pub fn exact_integral_restricted(g: &Graph, entries: &[RestrictedEntry<'_>]) -> 
         let d = e.demand.round();
         assert!((e.demand - d).abs() < 1e-9, "integral demands required");
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // sor-check: allow(lossy-cast) — integrality and range asserted above
         for _ in 0..d as u64 {
             assert!(!e.paths.is_empty(), "entry with demand but no paths");
             slots.push(e.paths);
@@ -59,7 +58,6 @@ pub fn exact_integral_restricted(g: &Graph, entries: &[RestrictedEntry<'_>]) -> 
 /// solvers.
 pub fn exact_single_pair_fractional(g: &Graph, s: NodeId, t: NodeId, d: f64) -> f64 {
     assert!(d >= 0.0);
-    // sor-check: allow(float-eq) — 0.0 is an exact sentinel here, not a computed value
     if d == 0.0 {
         return 0.0;
     }
@@ -84,7 +82,7 @@ pub fn all_simple_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<Path> {
         out: &mut Vec<Path>,
     ) {
         if cur == t {
-            // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
+            #[expect(clippy::expect_used, reason = "the DFS only extends simple paths")]
             let p = Path::from_edges(g, s, edge_stack.clone()).expect("DFS builds valid paths");
             out.push(p);
             return;
@@ -181,6 +179,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "an empty demand has congestion exactly 0.0"
+    )]
     fn empty_demand_zero() {
         let g = gen::cycle_graph(4);
         assert_eq!(exact_integral_opt(&g, &Demand::new()), 0.0);

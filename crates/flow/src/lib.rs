@@ -35,8 +35,6 @@
 //! assert!(opt.congestion_lower <= opt.congestion_upper + 1e-9);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod concurrent;
 pub mod demand;
 pub mod exact;

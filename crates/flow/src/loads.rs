@@ -120,6 +120,10 @@ mod tests {
     use sor_graph::{gen, NodeId};
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "loads are sums of small dyadic rates, exact in f64"
+    )]
     fn path_loading_and_congestion() {
         let g = gen::path_graph(4); // edges e0,e1,e2
         let p = sor_graph::bfs_path(&g, NodeId(0), NodeId(3)).unwrap();

@@ -165,9 +165,12 @@ pub fn restricted_min_congestion(
         congestion,
         lower_bound,
     };
+    #[expect(
+        clippy::panic,
+        reason = "a validator failure is a solver bug, not recoverable state"
+    )]
     if crate::validate::validators_enabled() {
         if let Err(msg) = crate::validate::check_restricted(g, entries, &sol) {
-            // sor-check: allow(unwrap, panic-path) — validator failure means a solver bug, not recoverable state
             panic!("restricted_min_congestion produced an invalid solution: {msg}");
         }
     }

@@ -61,7 +61,6 @@ pub fn round_and_improve<R: Rng>(
             entry.demand
         );
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // sor-check: allow(lossy-cast) — integrality and range asserted above
         let units = d as u32;
         let mut c = vec![0u32; entry.paths.len()];
         if units > 0 {
@@ -143,9 +142,12 @@ pub fn round_and_improve<R: Rng>(
         loads,
         congestion,
     };
+    #[expect(
+        clippy::panic,
+        reason = "a validator failure is a solver bug, not recoverable state"
+    )]
     if crate::validate::validators_enabled() {
         if let Err(msg) = crate::validate::check_integral(g, entries, &sol) {
-            // sor-check: allow(unwrap, panic-path) — validator failure means a solver bug, not recoverable state
             panic!("round_and_improve produced an invalid assignment: {msg}");
         }
     }
@@ -244,6 +246,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "a zero demand routes at congestion exactly 0.0"
+    )]
     fn zero_demand_ok() {
         let g = gen::cycle_graph(4);
         let paths = yen_ksp(&g, NodeId(0), NodeId(2), 2, &g.unit_lengths());

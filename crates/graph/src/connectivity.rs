@@ -66,7 +66,10 @@ impl Lowlink {
                     stack.pop();
                     if let Some(&(p, _)) = stack.last() {
                         ll.low[p.index()] = ll.low[p.index()].min(ll.low[u.index()]);
-                        // sor-check: allow(unwrap) — invariant stated in the expect message
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "every non-root vertex has a parent edge"
+                        )]
                         on_edge_done(&ll, p, u, pe.expect("non-root has a parent edge"));
                     }
                 }

@@ -14,6 +14,10 @@ use rand::Rng;
 /// the connectivity threshold `ln n / n`).
 ///
 /// Panics after 1000 failed attempts to avoid silent infinite loops.
+#[expect(
+    clippy::panic,
+    reason = "documented failure mode for unsatisfiable parameters"
+)]
 pub fn erdos_renyi_connected<R: Rng>(n: usize, p: f64, rng: &mut R) -> Graph {
     assert!(n >= 2 && (0.0..=1.0).contains(&p));
     for _ in 0..1000 {
@@ -29,7 +33,6 @@ pub fn erdos_renyi_connected<R: Rng>(n: usize, p: f64, rng: &mut R) -> Graph {
             return g;
         }
     }
-    // sor-check: allow(unwrap) — documented failure mode for unsatisfiable parameters
     panic!("failed to sample a connected G({n}, {p}) in 1000 attempts — p too small?");
 }
 
@@ -38,10 +41,17 @@ pub fn erdos_renyi_connected<R: Rng>(n: usize, p: f64, rng: &mut R) -> Graph {
 /// edges (the standard fix — whole-sample rejection has acceptance
 /// `≈ e^{-(d²−1)/4}` and is hopeless beyond d ≈ 4). Disconnected samples
 /// are resampled. Requires `n·d` even and `d < n`.
+#[expect(
+    clippy::panic,
+    reason = "documented failure mode for unsatisfiable parameters"
+)]
 pub fn random_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Graph {
     assert!(d >= 1 && d < n, "need 1 <= d < n");
     assert!((n * d).is_multiple_of(2), "n*d must be even");
-    // sor-check: allow(unwrap) — d < n is asserted above
+    #[expect(
+        clippy::expect_used,
+        reason = "n < u32::MAX: asserted above, and Graph::new needs it too"
+    )]
     let n32: u32 = n.try_into().expect("vertex count n exceeds u32 range");
     let mut stubs: Vec<u32> = Vec::with_capacity(n * d);
     for v in 0..n32 {
@@ -104,7 +114,6 @@ pub fn random_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Graph {
             return g;
         }
     }
-    // sor-check: allow(unwrap) — documented failure mode for unsatisfiable parameters
     panic!("failed to sample a simple connected {d}-regular graph on {n} vertices");
 }
 
@@ -112,6 +121,10 @@ pub fn random_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Graph {
 /// square, edges between points within distance `radius` (WAN-ish spatial
 /// locality). Resampled until connected; keep
 /// `radius ≳ √(2 ln n / (π n))`.
+#[expect(
+    clippy::panic,
+    reason = "documented failure mode for unsatisfiable parameters"
+)]
 pub fn random_geometric<R: Rng>(n: usize, radius: f64, rng: &mut R) -> Graph {
     assert!(n >= 2 && radius > 0.0);
     for _ in 0..1000 {
@@ -133,7 +146,6 @@ pub fn random_geometric<R: Rng>(n: usize, radius: f64, rng: &mut R) -> Graph {
             return g;
         }
     }
-    // sor-check: allow(unwrap) — documented failure mode for unsatisfiable parameters
     panic!("failed to sample a connected geometric graph — radius too small?");
 }
 
@@ -141,6 +153,10 @@ pub fn random_geometric<R: Rng>(n: usize, radius: f64, rng: &mut R) -> Graph {
 /// vertex connects to its `k/2` nearest neighbors per side, with each
 /// edge's far endpoint rewired with probability `beta`. Resampled until
 /// connected and simple.
+#[expect(
+    clippy::panic,
+    reason = "documented failure mode for unsatisfiable parameters"
+)]
 pub fn watts_strogatz<R: Rng>(n: usize, k: usize, beta: f64, rng: &mut R) -> Graph {
     assert!(
         k >= 2 && k.is_multiple_of(2) && k < n,
@@ -153,11 +169,14 @@ pub fn watts_strogatz<R: Rng>(n: usize, k: usize, beta: f64, rng: &mut R) -> Gra
         let key = |a: u32, b: u32| (a.min(b), a.max(b));
         // ring arithmetic runs in u32 node-id space; k < n < u32::MAX is
         // enforced by the assert above plus Graph::new below
-        // sor-check: allow(unwrap)
+        #[expect(
+            clippy::expect_used,
+            reason = "n < u32::MAX: asserted above, and Graph::new needs it too"
+        )]
         let n32: u32 = n.try_into().expect("vertex count n exceeds u32 range");
+        #[expect(clippy::expect_used, reason = "k < n < u32::MAX is asserted above")]
         let half_k: u32 = (k / 2)
             .try_into()
-            // sor-check: allow(unwrap)
             .expect("neighbor count k exceeds u32 range");
         for i in 0..n32 {
             for d in 1..=half_k {
@@ -193,7 +212,6 @@ pub fn watts_strogatz<R: Rng>(n: usize, k: usize, beta: f64, rng: &mut R) -> Gra
             return g;
         }
     }
-    // sor-check: allow(unwrap) — documented failure mode for unsatisfiable parameters
     panic!("failed to sample a connected small-world graph");
 }
 

@@ -35,13 +35,15 @@ pub fn stoer_wagner(g: &Graph) -> (f64, Vec<NodeId>) {
         let mut last = usize::MAX;
         for _ in 0..active.len() {
             // pick the most tightly connected remaining vertex
+            #[expect(
+                clippy::expect_used,
+                reason = "weights are finite and the active set is nonempty"
+            )]
             let next = active
                 .iter()
                 .copied()
                 .filter(|&v| !in_a[v])
-                // sor-check: allow(unwrap) — invariant stated in the expect message
                 .max_by(|&a, &b| weights[a].partial_cmp(&weights[b]).expect("finite"))
-                // sor-check: allow(unwrap) — invariant stated in the expect message
                 .expect("active nonempty");
             in_a[next] = true;
             prev = last;

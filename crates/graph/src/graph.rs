@@ -18,16 +18,18 @@ impl NodeId {
     /// The vertex index as a `usize`, for container indexing.
     #[inline]
     pub fn index(self) -> usize {
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         self.0 as usize
     }
 
     /// The checked typed constructor from a container index: the sanctioned
     /// way to build ids from `usize` arithmetic (a bare `idx as u32` is a
-    /// `lossy-cast` lint violation under `sor-check`).
+    /// `clippy::cast_possible_truncation` error).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "checked-constructor contract: overflow past u32 ids is unrecoverable"
+    )]
     pub fn from_usize(idx: usize) -> NodeId {
-        // sor-check: allow(unwrap, panic-path) — checked-constructor contract: overflow past u32 ids is unrecoverable
         NodeId(idx.try_into().expect("node index exceeds u32 range"))
     }
 }
@@ -36,15 +38,17 @@ impl EdgeId {
     /// The edge index as a `usize`, for container indexing.
     #[inline]
     pub fn index(self) -> usize {
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         self.0 as usize
     }
 
     /// The checked typed constructor from a container index; see
     /// [`NodeId::from_usize`].
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "checked-constructor contract: overflow past u32 ids is unrecoverable"
+    )]
     pub fn from_usize(idx: usize) -> EdgeId {
-        // sor-check: allow(unwrap, panic-path) — checked-constructor contract: overflow past u32 ids is unrecoverable
         EdgeId(idx.try_into().expect("edge index exceeds u32 range"))
     }
 }
@@ -108,7 +112,6 @@ impl Graph {
     /// An empty graph on `n` isolated vertices.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "graph must have at least one vertex");
-        // sor-check: allow(lossy-cast) — widening conversion cannot truncate on supported targets
         let max_n = u32::MAX as usize;
         assert!(n < max_n, "vertex count exceeds u32 index space");
         Graph {
@@ -254,6 +257,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "capacities are stored verbatim")]
     fn build_triangle() {
         let mut g = Graph::new(3);
         let e0 = g.add_unit_edge(NodeId(0), NodeId(1));

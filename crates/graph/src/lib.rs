@@ -42,8 +42,6 @@
 //! assert!(paths.iter().all(|p| p.hops() == 3));
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod connectivity;
 pub mod gen;
 pub mod globalcut;

@@ -177,6 +177,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "a sum of zero-length edges is exactly 0.0"
+    )]
     fn zero_length_edges_ok() {
         let mut g = Graph::new(3);
         g.add_unit_edge(NodeId(0), NodeId(1));

@@ -56,7 +56,10 @@ pub fn bfs_path(g: &Graph, s: NodeId, t: NodeId) -> Option<Path> {
     let mut rev_edges = Vec::new();
     let mut cur = t;
     while cur != s {
-        // sor-check: allow(unwrap, panic-path) — t's reachability checked above, so every hop has a parent
+        #[expect(
+            clippy::expect_used,
+            reason = "t's reachability is checked above, so every hop has a parent"
+        )]
         let e = parent[cur.index()].expect("walked past the BFS root");
         rev_edges.push(e);
         cur = g.edge(e).other(cur);

@@ -192,6 +192,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "1.5 is exact in f64 and the unit stores it verbatim"
+    )]
     fn congestion_is_rate_over_capacity() {
         let c = Rate::new(3.0) / Capacity::new(2.0);
         assert_eq!(c, Congestion::new(1.5));
@@ -211,6 +215,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "the sentinel constants are exact literals"
+    )]
     fn max_and_sentinels() {
         assert_eq!(Congestion::ZERO.max(Congestion::new(2.0)), 2.0);
         assert!(Congestion::INFINITE > Congestion::new(1e300));

@@ -38,8 +38,6 @@
 //! assert!(dist_dilation(&dist) <= r.hop_cap(NodeId(0), NodeId(15)));
 //! ```
 
-#![forbid(unsafe_code)]
-
 use parking_lot::Mutex;
 use rand::Rng;
 use sor_graph::traversal::all_pairs_hops;
@@ -132,10 +130,10 @@ impl HopRouting {
 
     /// Near-hop-shortest fallback path (lengths within [1, 1.5] per hop,
     /// so hops ≤ 1.5 · hopdist ≤ cap).
+    #[expect(clippy::expect_used, reason = "the graph is connected")]
     fn fallback(&self, s: NodeId, t: NodeId) -> Path {
         dijkstra(&self.g, s, &self.fallback_lengths)
             .path_to(&self.g, t)
-            // sor-check: allow(unwrap) — invariant stated in the expect message
             .expect("connected graph")
     }
 }
@@ -209,11 +207,11 @@ impl HopFamily {
 
     /// The routing for the smallest scale with hop bound >= `h` (the last
     /// scale when `h` exceeds the diameter).
+    #[expect(clippy::expect_used, reason = "a hop hierarchy has at least one scale")]
     pub fn at_least(&self, h: usize) -> &HopRouting {
         self.scales
             .iter()
             .find(|r| r.hop_bound() >= h)
-            // sor-check: allow(unwrap) — invariant stated in the expect message
             .unwrap_or_else(|| self.scales.last().expect("nonempty"))
     }
 

@@ -177,7 +177,10 @@ pub fn decompose_flow(g: &Graph, s: NodeId, t: NodeId, mut flow: Vec<f64>) -> Pa
                 node = rec.u;
             }
         }
-        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
+        #[expect(
+            clippy::expect_used,
+            reason = "the flow walk is simple by construction"
+        )]
         let path = Path::from_edges(g, s, edges).expect("walk is simple by construction");
         dist.push((path, amount));
         total += amount;

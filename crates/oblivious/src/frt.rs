@@ -131,11 +131,14 @@ impl FrtTree {
                 let verts = std::mem::take(&mut nodes[ci].vertices);
                 let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
                 for &v in &verts {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "pi is a permutation of all vertices, so some center is in range"
+                    )]
                     let center = pi
                         .iter()
                         .copied()
                         .find(|u| dist[u.index()][v.index()] <= radius)
-                        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                         .expect("v itself qualifies at any level once radius ≥ 0");
                     match groups.iter_mut().find(|(c, _)| *c == center) {
                         Some((_, vs)) => vs.push(v),
@@ -153,10 +156,10 @@ impl FrtTree {
                 for (center, vs) in groups {
                     // Leader: the center itself if inside, else the
                     // π-minimal member (deterministic given π).
+                    #[expect(clippy::expect_used, reason = "groups are nonempty")]
                     let leader = if vs.contains(&center) {
                         center
                     } else {
-                        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                         *pi.iter().find(|u| vs.contains(u)).expect("nonempty group")
                     };
                     let singleton = vs.len() == 1;
@@ -218,11 +221,8 @@ impl FrtTree {
             let tree = dijkstra(g, pl, lengths);
             for &c in children {
                 let cl = nodes[c].leader;
-                let path = tree
-                    .path_to(g, cl)
-                    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
-                    .expect("connected graph")
-                    .reversed();
+                #[expect(clippy::expect_used, reason = "the graph is connected")]
+                let path = tree.path_to(g, cl).expect("connected graph").reversed();
                 nodes[c].up_path = Some(path);
             }
         }
@@ -244,6 +244,10 @@ impl FrtTree {
     /// The physical path obtained by routing `s → t` through the tree:
     /// up-paths to the lowest common ancestor, then down-paths, all
     /// concatenated and loop-erased.
+    #[expect(
+        clippy::expect_used,
+        reason = "consecutive up-paths meet at the cluster leader"
+    )]
     pub fn route(&self, s: NodeId, t: NodeId) -> Path {
         if s == t {
             return Path::trivial(s);
@@ -252,7 +256,6 @@ impl FrtTree {
         let mut path = Path::trivial(s);
         for i in up_chain {
             if let Some(up) = &self.nodes[i].up_path {
-                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                 path = path.join_simplified(up).expect("chained at leader");
             }
         }
@@ -260,7 +263,6 @@ impl FrtTree {
             if let Some(up) = &self.nodes[i].up_path {
                 path = path
                     .join_simplified(&up.reversed())
-                    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                     .expect("chained at leader");
             }
         }

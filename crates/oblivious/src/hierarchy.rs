@@ -108,7 +108,7 @@ fn local_fiedler<R: Rng + ?Sized>(g: &Graph, verts: &[NodeId], w: &[f64], rng: &
 fn sweep_cut(g: &Graph, verts: &[NodeId], emb: &[f64], w: &[f64]) -> (Vec<NodeId>, Vec<NodeId>) {
     let k = verts.len();
     let mut order: Vec<usize> = (0..k).collect();
-    // sor-check: allow(unwrap) — invariant stated in the expect message
+    #[expect(clippy::expect_used, reason = "the spectral embedding is finite")]
     order.sort_by(|&a, &b| emb[a].partial_cmp(&emb[b]).expect("finite embedding"));
     let lo = (k / 4).max(1);
     let hi = (3 * k / 4).max(lo);
@@ -166,17 +166,19 @@ impl SpectralHierarchy {
         let mut clusters: Vec<Cluster> = Vec::new();
         let mut leaf_of = vec![usize::MAX; n];
 
+        #[expect(
+            clippy::expect_used,
+            reason = "clusters are nonempty and capacities finite"
+        )]
         let leader_of = |verts: &[NodeId]| -> NodeId {
             *verts
                 .iter()
                 .max_by(|a, b| {
                     g.cap_degree(**a)
                         .partial_cmp(&g.cap_degree(**b))
-                        // sor-check: allow(unwrap) — invariant stated in the expect message
                         .expect("finite")
                         .then(b.0.cmp(&a.0))
                 })
-                // sor-check: allow(unwrap) — invariant stated in the expect message
                 .expect("nonempty cluster")
         };
 
@@ -250,9 +252,9 @@ impl SpectralHierarchy {
         for (&p, kids) in &children_of {
             let tree = dijkstra(g, clusters[p].leader, &lengths);
             for &c in kids {
+                #[expect(clippy::expect_used, reason = "the graph is connected")]
                 let path = tree
                     .path_to(g, clusters[c].leader)
-                    // sor-check: allow(unwrap) — invariant stated in the expect message
                     .expect("connected graph")
                     .reversed();
                 clusters[c].up_path = Some(path);
@@ -264,6 +266,10 @@ impl SpectralHierarchy {
 
     /// Route `s → t` through the hierarchy (up to the LCA, then down),
     /// loop-erased.
+    #[expect(
+        clippy::expect_used,
+        reason = "consecutive up-paths meet at the cluster leader"
+    )]
     pub fn route(&self, s: NodeId, t: NodeId) -> Path {
         if s == t {
             return Path::trivial(s);
@@ -288,7 +294,6 @@ impl SpectralHierarchy {
         let mut path = Path::trivial(s);
         for &i in &sa[..a] {
             if let Some(up) = &self.clusters[i].up_path {
-                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                 path = path.join_simplified(up).expect("chained at leader");
             }
         }
@@ -296,7 +301,6 @@ impl SpectralHierarchy {
             if let Some(up) = &self.clusters[i].up_path {
                 path = path
                     .join_simplified(&up.reversed())
-                    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                     .expect("chained at leader");
             }
         }

@@ -44,8 +44,6 @@
 //! assert!(p.hops() <= 8); // ≤ 2·dim
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod electrical;
 pub mod frt;
 pub mod hierarchy;

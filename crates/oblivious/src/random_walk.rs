@@ -35,6 +35,7 @@ impl RandomWalkRouting {
     }
 
     /// One loop-erased random walk from `s` to `t`.
+    #[expect(clippy::expect_used, reason = "a loop-erased walk is a simple path")]
     fn walk<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {
         let n = self.g.num_nodes();
         // Hitting time on a connected graph is O(n^3) in the worst case;
@@ -65,7 +66,6 @@ impl RandomWalkRouting {
                 edges.push(e);
             }
         }
-        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
         Path::from_edges(&self.g, s, edges).expect("loop-erased walk is a simple path")
     }
 }

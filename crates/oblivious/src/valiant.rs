@@ -35,14 +35,15 @@ fn bitfix_nodes(a: u32, b: u32, d: usize) -> Vec<NodeId> {
 
 /// Build the `s → w → t` Valiant path, shortcutting any revisits so the
 /// result is simple.
+#[expect(
+    clippy::expect_used,
+    reason = "bit-fixing walks are simple and both segments share the intermediate"
+)]
 fn valiant_path(g: &Graph, d: usize, s: u32, w: u32, t: u32) -> Path {
-    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
     let first = Path::from_nodes(g, &bitfix_nodes(s, w, d)).expect("bitfix walks are simple");
-    // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
     let second = Path::from_nodes(g, &bitfix_nodes(w, t, d)).expect("bitfix walks are simple");
     first
         .join_simplified(&second)
-        // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
         .expect("segments share the intermediate")
 }
 
@@ -56,7 +57,10 @@ impl ValiantHypercube {
     /// Wrap a hypercube graph produced by [`sor_graph::gen::hypercube`].
     /// Panics if `g`'s vertex count is not a power of two.
     pub fn new(g: Graph) -> Self {
-        // sor-check: allow(unwrap) — invariant stated in the expect message
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: the graph must be a hypercube"
+        )]
         let d = dim_of(g.num_nodes()).expect("not a hypercube vertex count");
         assert_eq!(
             g.num_edges(),
@@ -122,7 +126,10 @@ impl GreedyBitFix {
     /// Wrap a hypercube graph. Panics if the vertex count is not a power
     /// of two.
     pub fn new(g: Graph) -> Self {
-        // sor-check: allow(unwrap) — invariant stated in the expect message
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: the graph must be a hypercube"
+        )]
         let d = dim_of(g.num_nodes()).expect("not a hypercube vertex count");
         GreedyBitFix { g, d }
     }
@@ -135,8 +142,8 @@ impl ObliviousRouting for GreedyBitFix {
 
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
         assert!(s != t);
+        #[expect(clippy::expect_used, reason = "bit-fixing walks are simple")]
         let p = Path::from_nodes(&self.g, &bitfix_nodes(s.0, t.0, self.d))
-            // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
             .expect("bitfix walks are simple");
         Arc::new(vec![(p, 1.0)])
     }

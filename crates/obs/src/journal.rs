@@ -280,7 +280,6 @@ impl Journal {
     pub fn append(&self, events: impl IntoIterator<Item = JournalEvent>) {
         let mut ring = self.ring.lock();
         for event in events {
-            // sor-check: allow(lock-order) — VecDeque::len on the live guard, not a re-acquisition
             if ring.events.len() == ring.capacity {
                 ring.events.pop_front();
                 ring.dropped += 1;

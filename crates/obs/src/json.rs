@@ -183,10 +183,8 @@ impl JsonValue {
     pub fn as_u64(&self) -> Option<u64> {
         let x = self.as_f64()?;
         // the boundary value 2^64 itself rounds out of range
-        // sor-check: allow(float-eq) — fract()==0.0 is an exact integrality test
         if x >= 0.0 && x.fract() == 0.0 && x < u64::MAX as f64 {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            // sor-check: allow(lossy-cast) — integrality and range checked above
             Some(x as u64)
         } else {
             None

@@ -60,8 +60,6 @@
 //! sampling vs. demand churn). The serving layer snapshots the ring on
 //! SLO breaches; `sor forensics` analyzes the artifact offline.
 
-#![forbid(unsafe_code)]
-
 pub mod expose;
 pub mod forensics;
 pub mod journal;

@@ -461,6 +461,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::float_cmp, reason = "reset stores exactly 0.0")]
     fn reset_zeroes_in_place() {
         let r = Recorder::new();
         r.add("metrics/test/reset", 7);

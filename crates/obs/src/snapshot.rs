@@ -332,7 +332,6 @@ impl SnapshotDiff {
 fn fmt_val(v: f64) -> String {
     if v.is_nan() {
         "—".to_string()
-    // sor-check: allow(float-eq) — fract()==0.0 is an exact integrality test for display
     } else if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{v:.0}")
     } else {
@@ -342,7 +341,6 @@ fn fmt_val(v: f64) -> String {
 
 /// Relative deviation of `cur` from `base` (absolute when `base == 0`).
 fn rel_dev(base: f64, cur: f64) -> f64 {
-    // sor-check: allow(float-eq) — 0.0 is an exact sentinel (absolute-dev fallback)
     if base == 0.0 {
         cur.abs()
     } else {
@@ -422,7 +420,6 @@ pub fn diff(base: &Snapshot, cur: &Snapshot, policy: &DiffPolicy) -> SnapshotDif
             if policy.compare_wall && b.total_ns >= policy.min_wall_ns {
                 out.checked += 1;
                 #[allow(clippy::cast_precision_loss)]
-                // sor-check: allow(lossy-cast) — ns fit f64 for ratio purposes
                 let (bns, cns) = (b.total_ns as f64, c.total_ns as f64);
                 let ratio = if bns > 0.0 { cns / bns } else { 1.0 };
                 let status = if ratio > policy.wall_fail_ratio {
@@ -455,7 +452,6 @@ pub fn diff(base: &Snapshot, cur: &Snapshot, policy: &DiffPolicy) -> SnapshotDif
 fn compare_u64(out: &mut SnapshotDiff, name: &str, kind: DeltaKind, base: u64, cur: u64, tol: f64) {
     out.checked += 1;
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — work counters are far below 2^53
     let (b, c) = (base as f64, cur as f64);
     if base != cur && rel_dev(b, c) > tol {
         out.deltas.push(Delta {
@@ -464,7 +460,6 @@ fn compare_u64(out: &mut SnapshotDiff, name: &str, kind: DeltaKind, base: u64, c
             base: b,
             cur: c,
             status: DiffStatus::Fail,
-            // sor-check: allow(float-eq) — tol==0.0 is the exact-gate configuration sentinel
             note: if tol == 0.0 {
                 "deterministic work metric changed".to_string()
             } else {

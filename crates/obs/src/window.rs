@@ -105,7 +105,6 @@ impl Series {
         let w = w.max(1);
         let have = self.deltas.len().min(w).max(1);
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — window lengths are tiny
         let denom = have as f64;
         self.window_sum(w) / denom
     }
@@ -179,13 +178,11 @@ impl WindowRegistry {
         state.ticks += 1;
         for c in &snap.counters {
             #[allow(clippy::cast_precision_loss)]
-            // sor-check: allow(lossy-cast) — work counters are far below 2^52
             let total = c.value as f64;
             self.ingest(&mut state, &c.name, SeriesKind::Counter, total);
         }
         for h in &snap.histograms {
             #[allow(clippy::cast_precision_loss)]
-            // sor-check: allow(lossy-cast) — observation counts are far below 2^52
             let total = h.count as f64;
             self.ingest(&mut state, &h.name, SeriesKind::HistogramCount, total);
         }
@@ -292,10 +289,8 @@ pub fn log_bucket_of(v: f64) -> Option<usize> {
         return None;
     }
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — SUB_BUCKETS is a small constant
     let scaled = v.log2() * SUB_BUCKETS as f64;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    // sor-check: allow(lossy-cast) — non-negative and clamped below the bucket count
     let idx = scaled.floor().max(0.0) as usize;
     Some(idx.min(NUM_LOG_BUCKETS - 1))
 }
@@ -303,7 +298,6 @@ pub fn log_bucket_of(v: f64) -> Option<usize> {
 /// Inclusive-exclusive upper edge of log bucket `i`.
 fn log_bucket_upper(i: usize) -> f64 {
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — bucket indices are tiny
     let exp = (i + 1) as f64 / SUB_BUCKETS as f64;
     exp.exp2()
 }
@@ -385,10 +379,8 @@ impl LogHistogram {
             return None;
         }
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — observation counts are far below 2^52
         let rank = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0);
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        // sor-check: allow(lossy-cast) — rank is in [1, count]
         let rank = rank as u64;
         let mut seen = self.underflow.load(Ordering::Relaxed);
         if seen >= rank {

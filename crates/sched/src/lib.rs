@@ -25,8 +25,6 @@
 //! assert_eq!(r.lower_bound(), 4);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod sim;
 
 pub use sim::{

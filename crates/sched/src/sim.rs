@@ -101,7 +101,10 @@ pub fn simulate_released(
 ) -> SimResult {
     match try_simulate_released(g, routes, releases, policy) {
         Ok(r) => r,
-        // sor-check: allow(unwrap) — panicking front end over the fallible simulator
+        #[expect(
+            clippy::panic,
+            reason = "panicking front end over the fallible simulator"
+        )]
         Err(e) => panic!("{e}"),
     }
 }
@@ -282,6 +285,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "congestion is a ratio of small integers, exact in f64"
+    )]
     fn single_packet_takes_hops_steps() {
         let g = gen::path_graph(5);
         let p = bfs_path(&g, NodeId(0), NodeId(4)).unwrap();
@@ -293,6 +300,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "congestion is a ratio of small integers, exact in f64"
+    )]
     fn pipeline_on_shared_path() {
         // k packets over the same 4-hop path: pipelined makespan = 4 + k−1.
         let g = gen::path_graph(5);
@@ -313,6 +324,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "congestion is a ratio of small integers, exact in f64"
+    )]
     fn capacity_two_carries_two() {
         let mut g = sor_graph::Graph::new(2);
         g.add_edge(NodeId(0), NodeId(1), 2.0);

@@ -149,7 +149,7 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// Check every field against its valid range: a zero `sparsity`,
     /// `trees`, `epoch_batch`, `queue_bound` or `cache_capacity`, or an
-    /// `eps` that is not finite and positive, is an error. An engine
+    /// `eps` outside the solvers' range (0, 1), is an error. An engine
     /// built from an invalid config may panic or serve nothing.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let counts = [
@@ -165,10 +165,10 @@ impl EngineConfig {
                 requirement: "at least 1",
             });
         }
-        if !(self.eps.is_finite() && self.eps > 0.0) {
+        if !(self.eps > 0.0 && self.eps < 1.0) {
             return Err(ConfigError {
                 field: "eps",
-                requirement: "finite and positive",
+                requirement: "in (0, 1)",
             });
         }
         Ok(())
@@ -682,11 +682,14 @@ impl Engine {
     ) -> (Vec<PublishedRoute>, Option<CompactStats>) {
         let compact = (self.cfg.snapshot_format == SnapshotFormat::Compact).then(|| {
             let _span = sor_obs::span("serve/compact_encode");
+            #[expect(
+                clippy::expect_used,
+                reason = "RaeckeRouting::build produces at least one tree"
+            )]
             let tree = self
                 .routing
                 .trees()
                 .first()
-                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                 .expect("RaeckeRouting::build produces at least one tree");
             CompactSystem::encode(&self.g, tree, sor.system())
         });
@@ -970,7 +973,6 @@ fn record_serve_counters(s: &EpochStats) {
         }
     }
     #[allow(clippy::cast_precision_loss)]
-    // sor-check: allow(lossy-cast) — queue depths are far below 2^52
     let depth = s.queue_depth as f64;
     sor_obs::observe("serve/queue_depth", &sor_obs::POW2_BUCKETS, depth);
 }
@@ -1115,6 +1117,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::float_cmp,
+        reason = "an empty epoch publishes congestion exactly 0.0"
+    )]
     fn empty_epoch_is_empty() {
         let mut eng = small_engine(false);
         let snap = eng.run_epoch();

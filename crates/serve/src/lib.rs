@@ -36,8 +36,6 @@
 //! `sor_obs::Recorder`, telemetry, *or* the journal attached — the
 //! engine sits under the repo's perf gate.
 
-#![forbid(unsafe_code)]
-
 pub mod cache;
 pub mod engine;
 pub mod telemetry;

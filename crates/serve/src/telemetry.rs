@@ -80,7 +80,6 @@ impl ServeTelemetry {
     /// Record one queued request's wait (engine ingest → admission).
     pub fn observe_queue_wait_ns(&self, ns: u64) {
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — wall clocks are approximate by nature
         self.queue_wait.observe(ns as f64);
     }
 
@@ -98,7 +97,6 @@ impl ServeTelemetry {
     /// so the caller can react (e.g. dump the flight recorder).
     pub fn record_epoch(&self, mut rec: EpochRecord, walls: EpochWalls) -> Vec<SloBreach> {
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — wall clocks are approximate by nature
         {
             self.epoch_wall.observe(rec.epoch_wall_ns as f64);
             if walls.reopt_ns > 0 {
@@ -135,7 +133,6 @@ impl ServeTelemetry {
             return None;
         }
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — lookup counts are far below 2^52
         Some(hits as f64 / lookups as f64)
     }
 
@@ -179,7 +176,6 @@ impl ServeTelemetry {
         }
         let health = self.watchdog.summary();
         #[allow(clippy::cast_precision_loss)]
-        // sor-check: allow(lossy-cast) — breach counts are far below 2^52
         {
             gauges.push("slo/epochs_evaluated", "", health.epochs_evaluated as f64);
             gauges.push("slo/breaches_total", "", health.total_breaches as f64);

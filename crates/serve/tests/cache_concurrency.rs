@@ -11,6 +11,12 @@
 //! state, so the tests here need no serialization lock; no recorder is
 //! installed, so the obs-side counters are out of the picture.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers: a failed setup fails the test"
+)]
+
 use sor_core::PathSystem;
 use sor_graph::{bfs_path, gen, EdgeId, NodeId};
 use sor_serve::{CacheKey, PathSystemCache, SnapshotFormat};

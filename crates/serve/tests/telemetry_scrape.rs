@@ -7,6 +7,12 @@
 //! CI runs this test binary as its scrape smoke — keep it dependent on
 //! nothing but the workspace and the loopback interface.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers: a failed setup fails the test"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sor_graph::gen;

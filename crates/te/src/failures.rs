@@ -51,6 +51,10 @@ impl FailureResult {
 /// an emergency route the same way). Returns `None` when the failure
 /// disconnects the pair. Shared by the failure replay here and the online
 /// engine's degraded epochs (`sor-serve`).
+#[expect(
+    clippy::expect_used,
+    reason = "the survivor graph is a subgraph of g, so re-tracing succeeds"
+)]
 pub fn emergency_path(
     g: &Graph,
     survivor: &Graph,
@@ -70,11 +74,9 @@ pub fn emergency_path(
             .iter()
             .find(|&&(e, nb)| nb == w[1] && !failed.contains(&e))
             .map(|&(e, _)| e)
-            // sor-check: allow(unwrap, panic-path) — survivor is a subgraph of g, so the edge exists
             .expect("survivor-graph edge exists in the original graph");
         edges.push(e);
     }
-    // sor-check: allow(unwrap, panic-path) — nodes re-traced from a valid survivor path
     Some(Path::from_edges(g, nodes[0], edges).expect("re-traced path is valid"))
 }
 
@@ -137,8 +139,11 @@ pub fn failure_experiment(
         if !survived.system().covers(a, b) {
             fallback_pairs += 1;
             let mut sys = survived.system().clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "failure sets in the replay keep the graph connected"
+            )]
             let orig = emergency_path(g, &survivor_graph, &failed, a, b)
-                // sor-check: allow(unwrap) — invariant stated in the expect message
                 .expect("failure set keeps the graph connected");
             sys.insert(a, b, orig);
             survived = SemiObliviousRouting::new(g.clone(), sys);
@@ -163,8 +168,11 @@ pub fn failure_experiment(
             .collect();
         if surviving.is_empty() {
             // same emergency fallback as the semi-oblivious side
+            #[expect(
+                clippy::expect_used,
+                reason = "failure sets in the replay keep the graph connected"
+            )]
             let orig = emergency_path(g, &survivor_graph, &failed, a, b)
-                // sor-check: allow(unwrap) — invariant stated in the expect message
                 .expect("failure set keeps the graph connected");
             loads.add_path(&orig, d);
             continue;

@@ -26,8 +26,6 @@
 //! assert!(semi.sparsity <= 4);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod churn;
 pub mod failures;
 pub mod scenario;

@@ -9,6 +9,12 @@
 //!
 //! Run: `cargo run --release --example completion_time`
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "example driver: a broken setup stops the run"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use semi_oblivious_routing::core::completion::CompletionRouting;

@@ -18,9 +18,15 @@
 //! counter/histogram/span snapshot as JSON, `--quiet` silences the
 //! pipeline's diagnostic logging.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "driver code: a violated internal invariant ends the command"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use semi_oblivious_routing::cli::{flag_parse, flag_value, parse_demand, parse_graph};
+use semi_oblivious_routing::cli::{flag_eps, flag_parse, flag_value, parse_demand, parse_graph};
 use semi_oblivious_routing::core::sample::{demand_pairs, sample_k};
 use semi_oblivious_routing::core::SemiObliviousRouting;
 use semi_oblivious_routing::flow::max_concurrent_flow;
@@ -163,7 +169,7 @@ fn run(args: &[String]) {
             // stage, so it is also the smoke test for `--metrics-out`.
             let s: usize = or_die(flag_parse(args, "--s", 4));
             let trees: usize = or_die(flag_parse(args, "--trees", 8));
-            let eps: f64 = or_die(flag_parse(args, "--eps", 0.15));
+            let eps = or_die(flag_eps(args, 0.15));
             let dspec = flag_value(args, "--demand").unwrap_or("perm");
             let demand = or_die(parse_demand(dspec, &g, seed));
             if !demand.is_integral() {
@@ -262,7 +268,18 @@ fn run(args: &[String]) {
                 epochs: or_die(flag_parse(args, "--epochs", 8)),
                 rate: or_die(flag_parse(args, "--rate", 8)),
                 patterns: or_die(flag_parse(args, "--patterns", 3)),
-                pairs_per_pattern: or_die(flag_parse(args, "--pattern-pairs", 4)),
+                pairs_per_pattern: or_die(flag_parse(args, "--pattern-pairs", 4).and_then(|k| {
+                    // each pattern is a matching: k disjoint pairs need 2k vertices
+                    let half = g.num_nodes() / 2;
+                    if k <= half {
+                        Ok(k)
+                    } else {
+                        Err(format!(
+                            "--pattern-pairs must be at most {half}, half the graph's {} vertices",
+                            g.num_nodes()
+                        ))
+                    }
+                })),
                 fail_at: flag_value(args, "--fail-at")
                     .map(|v| or_die(v.parse().map_err(|_| format!("bad --fail-at '{v}'")))),
                 restore_after: or_die(flag_parse(args, "--restore-after", 2)),
@@ -453,7 +470,7 @@ fn run(args: &[String]) {
             // tables (verified lossless — decode must bit-match before
             // stats are trusted), and report both encodings' footprints
             // next to the congestion the system achieves.
-            let eps: f64 = or_die(flag_parse(args, "--eps", 0.15));
+            let eps = or_die(flag_eps(args, 0.15));
             let trees: usize = or_die(flag_parse(args, "--trees", 8));
             let max_s: usize = or_die(flag_parse(args, "--max-s", 6));
             let dspec = flag_value(args, "--demand").unwrap_or("perm");
@@ -463,7 +480,6 @@ fn run(args: &[String]) {
             let tree = base
                 .trees()
                 .first()
-                // sor-check: allow(unwrap, panic-path) — invariant stated in the expect message
                 .expect("RaeckeRouting::build produces at least one tree");
             println!(
                 "compact tables on {gspec} | demand {dspec} ({} pairs) | n = {}, trees = {trees}",
@@ -501,7 +517,7 @@ fn run(args: &[String]) {
             }
         }
         "eval" | "sweep" => {
-            let eps: f64 = or_die(flag_parse(args, "--eps", 0.15));
+            let eps = or_die(flag_eps(args, 0.15));
             let trees: usize = or_die(flag_parse(args, "--trees", 8));
             let dspec = flag_value(args, "--demand").unwrap_or("perm");
             let demand = or_die(parse_demand(dspec, &g, seed));

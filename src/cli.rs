@@ -33,40 +33,88 @@ pub fn parse_graph(spec: &str, seed: u64) -> Result<Graph, String> {
             y.parse().map_err(|_| format!("bad number in '{spec}'"))?,
         ))
     };
+    // Each generator's precondition, checked here so a bad spec is a
+    // usage error instead of a generator assertion.
+    let need = |ok: bool, form: &str| -> Result<(), String> {
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("--graph must be {form} (got '{spec}')"))
+        }
+    };
     Ok(match name {
-        "hypercube" => gen::hypercube(one(arg)?),
-        "cycle" => gen::cycle_graph(one(arg)?),
-        "path" => gen::path_graph(one(arg)?),
-        "complete" => gen::complete_graph(one(arg)?),
-        "star" => gen::star(one(arg)?),
+        "hypercube" => {
+            let d = one(arg)?;
+            need((1..=24).contains(&d), "hypercube:D with 1 <= D <= 24")?;
+            gen::hypercube(d)
+        }
+        "cycle" => {
+            let n = one(arg)?;
+            need(n >= 3, "cycle:N with N >= 3")?;
+            gen::cycle_graph(n)
+        }
+        "path" => {
+            let n = one(arg)?;
+            need(n >= 2, "path:N with N >= 2")?;
+            gen::path_graph(n)
+        }
+        "complete" => {
+            let n = one(arg)?;
+            need(n >= 1, "complete:N with N >= 1")?;
+            gen::complete_graph(n)
+        }
+        "star" => {
+            let n = one(arg)?;
+            need(n >= 1, "star:N with N >= 1")?;
+            gen::star(n)
+        }
         "grid" => {
             let (r, c) = two(arg)?;
+            need(
+                r >= 1 && c >= 1 && r.saturating_mul(c) >= 2,
+                "grid:RxC with R, C >= 1 and R*C >= 2",
+            )?;
             gen::grid(r, c)
         }
         "torus" => {
             let (r, c) = two(arg)?;
+            need(r >= 3 && c >= 3, "torus:RxC with R, C >= 3")?;
             gen::torus(r, c)
         }
         "expander" => {
             let (n, d) = two(arg)?;
+            need(
+                d >= 1 && d < n && n.checked_mul(d).is_some_and(|x| x.is_multiple_of(2)),
+                "expander:NxD with 1 <= D < N and N*D even",
+            )?;
             let mut rng = StdRng::seed_from_u64(seed);
             gen::random_regular(n, d, &mut rng)
         }
         "smallworld" => {
             let (n, k) = two(arg)?;
+            need(
+                k >= 2 && k.is_multiple_of(2) && k < n,
+                "smallworld:NxK with K even and 2 <= K < N",
+            )?;
             let mut rng = StdRng::seed_from_u64(seed);
             gen::watts_strogatz(n, k, 0.2, &mut rng)
         }
         "clos" => {
             let (s, l) = two(arg)?;
+            need(s >= 1 && l >= 2, "clos:SxL with S >= 1 and L >= 2")?;
             gen::clos(s, l, 1.0)
         }
         "dumbbell" => {
             let (k, b) = two(arg)?;
+            need(
+                k >= 2 && (1..=k).contains(&b),
+                "dumbbell:KxB with K >= 2 and 1 <= B <= K",
+            )?;
             gen::dumbbell(k, b)
         }
         "twostar" => {
             let (r, m) = two(arg)?;
+            need(r >= 1 && m >= 1, "twostar:RxM with R, M >= 1")?;
             gen::two_star(r, m)
         }
         "abilene" => gen::abilene(),
@@ -149,6 +197,17 @@ pub fn flag_parse<T: std::str::FromStr>(
     }
 }
 
+/// Parse `--eps`, the flow solvers' accuracy parameter, which must lie
+/// in (0, 1).
+pub fn flag_eps(args: &[String], default: f64) -> Result<f64, String> {
+    let eps: f64 = flag_parse(args, "--eps", default)?;
+    if eps > 0.0 && eps < 1.0 {
+        Ok(eps)
+    } else {
+        Err("--eps must be in (0, 1)".to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +225,16 @@ mod tests {
         assert!(parse_graph("bogus", 0).is_err());
         assert!(parse_graph("grid:3", 0).is_err());
         assert!(parse_graph("hypercube", 0).is_err());
+        for bad in [
+            "grid:1x1",
+            "expander:15x3",
+            "expander:4x9",
+            "hypercube:0",
+            "torus:2x5",
+        ] {
+            let err = parse_graph(bad, 0).expect_err(bad);
+            assert!(err.starts_with("--graph must be "), "{bad}: {err}");
+        }
     }
 
     #[test]

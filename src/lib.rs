@@ -18,8 +18,6 @@
 //! * [`serve`] — the online epoch-serving engine ([`sor_serve`]),
 //! * [`cli`] — graph/demand spec parsing for the `sor` binary.
 
-#![forbid(unsafe_code)]
-
 pub mod cli;
 
 pub use sor_compact as compact;

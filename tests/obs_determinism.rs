@@ -8,6 +8,12 @@
 //!
 //! Each test owns its recorder, so the tests run in parallel.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers: a failed setup fails the test"
+)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use semi_oblivious_routing::cli::{parse_demand, parse_graph};
