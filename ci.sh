@@ -178,6 +178,12 @@ cargo run -q --release -p sor-bench --bin perf -- \
   --trajectory BENCH_TRAJECTORY.jsonl
 cp BENCH_TRAJECTORY.jsonl target/perf/ 2>/dev/null || true
 
+echo "==> Räcke set-up scale smoke (perf --scale to n = 2^11; wall is not gated)"
+cargo run -q --release -p sor-bench --bin perf -- --scale --scale-max 11 \
+  > target/perf/scale.txt
+cat target/perf/scale.txt
+grep -q "log-log exponent over n >= 1024" target/perf/scale.txt
+
 if [ "${SOR_TSAN:-0}" = "1" ]; then
   run_tsan
 fi

@@ -13,11 +13,13 @@
 //! perf --gate --wall                # full trials, also gate wall medians
 //! perf --write-baseline             # regenerate BENCH_BASELINE.json
 //! perf --list                       # print suite bench names
+//! perf --scale --scale-max 12       # Räcke set-up at n = 2^8..2^12
 //! ```
 //!
 //! Gated runs append one JSON line to `BENCH_TRAJECTORY.jsonl` (suppress
 //! with `--no-trajectory`) recording git revision, status, and totals.
 
+use sor_bench::perf::scale::{render_scale, run_scale, SCALE_BUDGET_S, SCALE_MIN_K};
 use sor_bench::perf::{
     bench_names, gate, parse_baseline, render_suite_summary, run_suite, suite_to_json,
     trajectory_line, GatePolicy, PerfConfig, BASELINE_FORMAT,
@@ -34,6 +36,11 @@ modes (default: run the suite and print a summary)
   --gate                gate the run against the baseline; exit 1 on FAIL
   --write-baseline      run the suite and (re)write the baseline file
   --list                print the suite's bench names and exit
+  --scale               time the 6-tree Raecke build on expander:2^k x4 for
+                        k = 8..K and print wall, tree nodes, settled
+                        vertices, peak RSS and log-log exponents (not gated);
+                        sizes predicted to take over 60 s are skipped
+  --scale-max K         largest size exponent of --scale, 8..=20 (default 14)
 
 suite
   --quick               CI posture: fewer trials/warmups (same workloads,
@@ -61,6 +68,8 @@ struct Args {
     gate: bool,
     write_baseline: bool,
     list: bool,
+    scale: bool,
+    scale_max: u32,
     quick: bool,
     trials: Option<usize>,
     warmup: Option<usize>,
@@ -80,6 +89,8 @@ fn parse_args() -> Result<Args, String> {
         gate: false,
         write_baseline: false,
         list: false,
+        scale: false,
+        scale_max: 14,
         quick: false,
         trials: None,
         warmup: None,
@@ -100,6 +111,15 @@ fn parse_args() -> Result<Args, String> {
             "--gate" => args.gate = true,
             "--write-baseline" => args.write_baseline = true,
             "--list" => args.list = true,
+            "--scale" => args.scale = true,
+            "--scale-max" => {
+                args.scale_max = value("--scale-max")?
+                    .parse()
+                    .map_err(|e| format!("--scale-max: {e}"))?;
+                if !(SCALE_MIN_K..=20).contains(&args.scale_max) {
+                    return Err(format!("--scale-max must be in {SCALE_MIN_K}..=20"));
+                }
+            }
             "--quick" => args.quick = true,
             "--trials" => {
                 args.trials = Some(
@@ -143,6 +163,9 @@ fn parse_args() -> Result<Args, String> {
     if args.gate && args.write_baseline {
         return Err("--gate and --write-baseline are mutually exclusive".to_string());
     }
+    if args.scale && (args.gate || args.write_baseline) {
+        return Err("--scale does not gate or write a baseline".to_string());
+    }
     Ok(args)
 }
 
@@ -180,6 +203,11 @@ fn run() -> Result<ExitCode, String> {
         for name in bench_names() {
             println!("{name}");
         }
+        return Ok(ExitCode::SUCCESS);
+    }
+    if args.scale {
+        let rows = run_scale(args.scale_max, SCALE_BUDGET_S);
+        print!("{}", render_scale(&rows, SCALE_BUDGET_S));
         return Ok(ExitCode::SUCCESS);
     }
 

@@ -42,6 +42,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 mod kernels;
+pub mod scale;
 
 /// Format tag written into / expected from baseline files.
 pub const BASELINE_FORMAT: &str = "sor-perf/1";
@@ -136,6 +137,7 @@ const BENCHES: &[(&str, BenchFn)] = &[
     ("macro/e7", kernels::macro_e7),
     ("macro/e8", kernels::macro_e8),
     ("kernel/frt_build", kernels::frt_build),
+    ("kernel/frt_expander", kernels::frt_expander),
     ("kernel/mwu_restricted", kernels::mwu_restricted),
     ("kernel/rounding", kernels::rounding),
     ("kernel/sched_steps", kernels::sched_steps),

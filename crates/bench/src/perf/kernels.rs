@@ -115,6 +115,20 @@ pub fn frt_build() -> Quality {
     ]
 }
 
+/// One FRT tree on a random 4-regular expander with 1024 vertices, big
+/// enough for the build's search work (`oblivious/frt/settled`) to show
+/// how it scales.
+pub fn frt_expander() -> Quality {
+    let _span = sor_obs::span("perf/frt_expander");
+    let g = gen::random_regular(1024, 4, &mut rng_for(0x5f13));
+    let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng_for(0x5f14));
+    let max_rel = tree.relative_loads(&g).into_iter().fold(0.0f64, f64::max);
+    vec![
+        q("frt_expander/tree_nodes", tree.len() as f64),
+        q("frt_expander/max_rel_load", max_rel),
+    ]
+}
+
 /// MWU restricted congestion solve on Q6 with Valiant candidate paths.
 pub fn mwu_restricted() -> Quality {
     let _span = sor_obs::span("perf/mwu");

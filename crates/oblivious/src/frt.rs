@@ -15,10 +15,43 @@
 //! * each cluster records the total capacity leaving it (`cut_capacity`),
 //!   which is how much load any congestion-1 demand can push across the
 //!   corresponding tree edge — the quantity Räcke's MWU penalizes.
+//!
+//! # Construction and cost
+//!
+//! The build never forms the n×n distance matrix. It has four phases:
+//!
+//! 1. **Least-element lists** (Cohen, JCSS 1997; Khan et al., PODC 2008).
+//!    One Dijkstra per vertex in `π` order, each pruned at every vertex
+//!    that an earlier center already reaches at least as cheaply. Vertex
+//!    `v` keeps the centers that were strictly closer than all earlier
+//!    ones, an expected O(log n) entries with strictly decreasing
+//!    distances. Its FRT center at radius `r` is the first entry within
+//!    `r`. The search from `π₀` is not pruned. It checks connectivity,
+//!    and `2·ecc(π₀)` bounds the diameter, which fixes the root level.
+//!    Expected cost O(m log n · log n).
+//! 2. **Refinement**, level by level with a per-center slot array: O(n)
+//!    per level.
+//! 3. **Cut capacities**: each edge, in edge-id order, adds its capacity
+//!    to every cluster on its endpoints' leaf-to-LCA chains. O(m·depth).
+//! 4. **Up-paths**: one Dijkstra per parent cluster from its leader,
+//!    stopped once every child leader is settled. The stopped search
+//!    settles vertices in the same order as a full one, so each path is
+//!    the full run's path. This phase dominates at scale: about 85% of a
+//!    tree at n = 2^14 on a random 4-regular expander, where the whole
+//!    build grows as about n^1.5–1.6. A child leader far from its
+//!    parent's leader needs the whole ball around the parent's leader.
+//!
+//! The tree equals the one an all-pairs distance matrix gives for the same
+//! `π` and `β` (the unit tests keep that construction as the oracle),
+//! except that the root's `level` may sit higher: it comes from the
+//! `2·ecc(π₀)` bound, not the exact diameter. A level whose radius reaches
+//! `ecc(π₀)` never splits a cluster (`π₀` is every vertex's center), so
+//! nothing else moves. Each build adds the
+//! vertices its searches settled to the `oblivious/frt/settled` counter.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use sor_graph::{dijkstra, shortest::all_pairs_dist, Graph, NodeId, Path};
+use sor_graph::{DijkstraScratch, Graph, NodeId, Path, Settle};
 
 /// One node (cluster) of an FRT decomposition tree.
 #[derive(Clone, Debug)]
@@ -49,6 +82,64 @@ pub struct FrtTree {
     leaf_of: Vec<usize>,
 }
 
+/// Least-element lists: for each vertex `v`, the centers `u` with
+/// `d(u, v)` strictly below `d(w, v)` for every `w` earlier in `π`, paired
+/// with `d(u, v)`. Each list is stored in reverse `π` order, so it starts
+/// with `(v, 0.0)` and its last entry is `v`'s center at the current
+/// radius; shrinking the radius pops entries.
+struct LeLists {
+    lists: Vec<Vec<(NodeId, f64)>>,
+    /// Eccentricity of `π₀`.
+    ecc0: f64,
+}
+
+impl LeLists {
+    /// Pruned Dijkstras from every vertex in `pi` order. Returns the lists
+    /// and the number of vertices the searches settled.
+    fn build(
+        g: &Graph,
+        lengths: &[f64],
+        pi: &[NodeId],
+        search: &mut DijkstraScratch,
+    ) -> (Self, usize) {
+        let n = g.num_nodes();
+        let mut lists: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
+        let mut settled = 0;
+        for &c in pi {
+            settled += search.search(g, c, lengths, |v, d| {
+                let list = &mut lists[v.index()];
+                // Distances along a list strictly decrease, so its last
+                // entry is the closest earlier center.
+                if list.last().is_none_or(|&(_, best)| d < best) {
+                    list.push((c, d));
+                    Settle::Expand
+                } else {
+                    Settle::Prune
+                }
+            });
+            // The first search is never pruned: it reaches every vertex of
+            // a connected graph.
+            assert!(settled >= n, "FRT needs a connected graph");
+        }
+        // Every list starts with `π₀`'s entry.
+        let ecc0 = lists.iter().map(|l| l[0].1).fold(0.0, f64::max);
+        for list in &mut lists {
+            list.reverse();
+        }
+        (LeLists { lists, ecc0 }, settled)
+    }
+
+    /// The first center in `π` order within `radius` of `v`. Radii only
+    /// shrink over a build, so entries beyond `radius` are dropped.
+    fn center(&mut self, v: NodeId, radius: f64) -> NodeId {
+        let list = &mut self.lists[v.index()];
+        while list.len() > 1 && list[list.len() - 1].1 > radius {
+            list.pop();
+        }
+        list[list.len() - 1].0
+    }
+}
+
 impl FrtTree {
     /// Build a random FRT tree over `g` with the metric induced by
     /// per-edge `lengths` (all strictly positive).
@@ -59,8 +150,10 @@ impl FrtTree {
             lengths.iter().all(|&l| l > 0.0 && l.is_finite()),
             "FRT needs strictly positive finite lengths"
         );
+        let mut nodes: Vec<TreeNode> = Vec::with_capacity(2 * n);
+        let mut leaf_of = vec![usize::MAX; n];
         if n == 1 {
-            let node = TreeNode {
+            nodes.push(TreeNode {
                 parent: None,
                 children: Vec::new(),
                 leader: NodeId(0),
@@ -68,24 +161,9 @@ impl FrtTree {
                 up_path: None,
                 cut_capacity: 0.0,
                 level: 0,
-            };
-            return FrtTree {
-                nodes: vec![node],
-                leaf_of: vec![0],
-            };
-        }
-
-        let dist = all_pairs_dist(g, lengths);
-        let mut dmax: f64 = 0.0;
-        let mut dmin = f64::INFINITY;
-        for (i, row) in dist.iter().enumerate() {
-            for (j, &d) in row.iter().enumerate() {
-                if i != j {
-                    assert!(d.is_finite(), "FRT needs a connected graph");
-                    dmax = dmax.max(d);
-                    dmin = dmin.min(d);
-                }
-            }
+            });
+            leaf_of[0] = 0;
+            return FrtTree { nodes, leaf_of };
         }
 
         // Random permutation and β ∈ [1, 2).
@@ -93,139 +171,152 @@ impl FrtTree {
         pi.shuffle(rng);
         let beta: f64 = 1.0 + rng.gen::<f64>();
 
-        // Top level: β·2^top ≥ dmax so everything fits in one cluster.
+        let mut search = DijkstraScratch::for_graph(g);
+        let (mut le, mut settled) = LeLists::build(g, lengths, &pi, &mut search);
+        // The closest pair of vertices is joined by a single edge (graphs
+        // have no self-loops).
+        let dmin = lengths.iter().copied().fold(f64::INFINITY, f64::min);
+
+        // Top level: β·2^top ≥ 2·ecc(π₀) ≥ diameter, so everything fits in
+        // one cluster.
         #[allow(clippy::cast_possible_truncation)]
-        let top = dmax.log2().ceil() as i32 + 1;
+        let top = (2.0 * le.ecc0).log2().ceil() as i32 + 1;
         // Bottom level: β·2^bottom < dmin forces singletons.
         #[allow(clippy::cast_possible_truncation)]
         let bottom = (dmin.log2().floor() as i32) - 2;
 
-        let mut nodes: Vec<TreeNode> = Vec::new();
-        let mut leaf_of = vec![usize::MAX; n];
-
-        let root_vertices: Vec<NodeId> = g.nodes().collect();
-        let root_leader = pi[0];
         nodes.push(TreeNode {
             parent: None,
             children: Vec::new(),
-            leader: root_leader,
-            vertices: root_vertices,
+            leader: pi[0],
+            vertices: g.nodes().collect(),
             up_path: None,
             cut_capacity: 0.0,
             level: top + 1,
         });
 
         // Refine level by level. `frontier` holds indices of clusters that
-        // are not yet singletons.
+        // are not yet singletons. Within one cluster, `slot[c]` is the
+        // group of center `c` (groups keep first-appearance order) and
+        // `group_of[i]` the group of the cluster's `i`-th vertex.
+        let mut rank = vec![0usize; n];
+        for (k, v) in pi.iter().enumerate() {
+            rank[v.index()] = k;
+        }
+        let mut slot = vec![usize::MAX; n];
+        let mut group_of: Vec<usize> = Vec::with_capacity(n);
+        let mut centers: Vec<NodeId> = Vec::with_capacity(n);
+        let mut sizes: Vec<usize> = Vec::with_capacity(n);
+        let mut leaders: Vec<NodeId> = Vec::with_capacity(n);
         let mut frontier = vec![0usize];
+        let mut next_frontier: Vec<usize> = Vec::with_capacity(n);
         let mut level = top;
         while !frontier.is_empty() {
             assert!(level >= bottom, "FRT refinement failed to reach singletons");
             let radius = beta * (level as f64).exp2();
-            let mut next_frontier = Vec::new();
             for &ci in &frontier {
-                // Partition nodes[ci].vertices by their first π-center
-                // within `radius`.
                 // take the vertex list (pushing children below needs `nodes`
                 // mutably) and restore it afterwards — no per-level copy.
                 let verts = std::mem::take(&mut nodes[ci].vertices);
-                let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+                group_of.clear();
+                centers.clear();
+                sizes.clear();
+                leaders.clear();
+                // Each group's leader is its π-minimal member. A center is
+                // never later in π than its members (a vertex is within any
+                // radius of itself), so that is the center when it is inside.
                 for &v in &verts {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "pi is a permutation of all vertices, so some center is in range"
-                    )]
-                    let center = pi
-                        .iter()
-                        .copied()
-                        .find(|u| dist[u.index()][v.index()] <= radius)
-                        .expect("v itself qualifies at any level once radius ≥ 0");
-                    match groups.iter_mut().find(|(c, _)| *c == center) {
-                        Some((_, vs)) => vs.push(v),
-                        None => groups.push((center, vec![v])),
+                    let c = le.center(v, radius);
+                    let mut s = slot[c.index()];
+                    if s == usize::MAX {
+                        s = sizes.len();
+                        slot[c.index()] = s;
+                        centers.push(c);
+                        sizes.push(0);
+                        leaders.push(v);
+                    } else if rank[v.index()] < rank[leaders[s].index()] {
+                        leaders[s] = v;
                     }
+                    sizes[s] += 1;
+                    group_of.push(s);
                 }
-                if groups.len() == 1 && verts.len() > 1 {
+                for c in &centers {
+                    slot[c.index()] = usize::MAX;
+                }
+                if sizes.len() == 1 && verts.len() > 1 {
                     // No refinement at this level — reuse the node at the
                     // next level instead of stacking unary chains.
                     nodes[ci].vertices = verts;
                     next_frontier.push(ci);
                     continue;
                 }
-                nodes[ci].vertices = verts;
-                for (center, vs) in groups {
-                    // Leader: the center itself if inside, else the
-                    // π-minimal member (deterministic given π).
-                    #[expect(clippy::expect_used, reason = "groups are nonempty")]
-                    let leader = if vs.contains(&center) {
-                        center
-                    } else {
-                        *pi.iter().find(|u| vs.contains(u)).expect("nonempty group")
-                    };
-                    let singleton = vs.len() == 1;
+                let first = nodes.len();
+                for (&size, &leader) in sizes.iter().zip(&leaders) {
                     let idx = nodes.len();
+                    if size == 1 {
+                        leaf_of[leader.index()] = idx;
+                    } else {
+                        next_frontier.push(idx);
+                    }
                     nodes.push(TreeNode {
                         parent: Some(ci),
                         children: Vec::new(),
                         leader,
-                        vertices: vs,
+                        vertices: Vec::with_capacity(size),
                         up_path: None, // filled below
                         cut_capacity: 0.0,
                         level,
                     });
-                    nodes[ci].children.push(idx);
-                    if singleton {
-                        let v = nodes[idx].vertices[0];
-                        leaf_of[v.index()] = idx;
-                    } else {
-                        next_frontier.push(idx);
-                    }
                 }
+                for (&v, &s) in verts.iter().zip(&group_of) {
+                    nodes[first + s].vertices.push(v);
+                }
+                nodes[ci].vertices = verts;
+                nodes[ci].children.extend(first..first + sizes.len());
             }
-            frontier = next_frontier;
+            std::mem::swap(&mut frontier, &mut next_frontier);
+            next_frontier.clear();
             level -= 1;
         }
+        // The LE lists are spent; free them before the up-path searches.
+        drop(le);
 
-        // Collapse unary chains? Not needed: the frontier-reuse above
-        // already avoids them. Fill cut capacities and physical up-paths.
-        let mut in_cluster = vec![false; n];
-        for node in &mut nodes {
-            for &v in &node.vertices {
-                in_cluster[v.index()] = true;
-            }
-            let mut cut = 0.0;
-            for e in g.edges() {
-                if in_cluster[e.u.index()] != in_cluster[e.v.index()] {
-                    cut += e.cap;
-                }
-            }
-            node.cut_capacity = cut;
-            for &v in &node.vertices {
-                in_cluster[v.index()] = false;
+        // Cut capacities: a cluster is cut by an edge iff it holds exactly
+        // one endpoint, i.e. lies on an endpoint's leaf-to-LCA chain. A
+        // parent's index is below its children's, so stepping up from the
+        // larger index never passes the LCA. Each cluster sums its edges
+        // in edge-id order from 0.0.
+        for e in g.edges() {
+            let (mut a, mut b) = (leaf_of[e.u.index()], leaf_of[e.v.index()]);
+            while a != b {
+                let lower = if a > b { &mut a } else { &mut b };
+                nodes[*lower].cut_capacity += e.cap;
+                *lower = nodes[*lower].parent.unwrap_or(0);
             }
         }
 
-        // Physical paths: group children by their leader's shortest-path
-        // tree toward the parent leader. One Dijkstra per distinct parent
-        // leader is enough (paths extracted toward each child leader and
-        // reversed).
-        let mut by_parent: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (i, node) in nodes.iter().enumerate() {
-            if let Some(p) = node.parent {
-                by_parent.entry(p).or_default().push(i);
+        // Physical paths: one search per parent cluster from its leader,
+        // stopped once every child leader is settled; each child's path
+        // is the reversed tree path to its leader.
+        let mut targets: Vec<NodeId> = Vec::with_capacity(n);
+        for p in 0..nodes.len() {
+            if nodes[p].children.is_empty() {
+                continue;
             }
-        }
-        for (&p, children) in &by_parent {
-            let pl = nodes[p].leader;
-            let tree = dijkstra(g, pl, lengths);
-            for &c in children {
-                let cl = nodes[c].leader;
+            targets.clear();
+            targets.extend(nodes[p].children.iter().map(|&c| nodes[c].leader));
+            settled += search.search_to(g, nodes[p].leader, lengths, &targets);
+            for k in 0..nodes[p].children.len() {
+                let c = nodes[p].children[k];
                 #[expect(clippy::expect_used, reason = "the graph is connected")]
-                let path = tree.path_to(g, cl).expect("connected graph").reversed();
+                let path = search
+                    .path_to(g, nodes[c].leader)
+                    .expect("connected graph")
+                    .reversed();
                 nodes[c].up_path = Some(path);
             }
         }
+        sor_obs::counter_add!("oblivious/frt/settled", settled as u64);
 
         debug_assert!(leaf_of.iter().all(|&l| l != usize::MAX));
         FrtTree { nodes, leaf_of }
@@ -448,5 +539,212 @@ mod tests {
         assert!(mean_stretch >= 1.0 - 1e-9);
     }
 
-    use sor_graph::{Graph, NodeId};
+    /// The all-pairs-matrix construction the build replaced, kept as the
+    /// oracle: n full Dijkstras into an n×n matrix, a π scan per vertex
+    /// per level, a full edge scan per cluster and one full Dijkstra per
+    /// parent cluster.
+    fn apsp_build<R: Rng + ?Sized>(g: &Graph, lengths: &[f64], rng: &mut R) -> FrtTree {
+        let n = g.num_nodes();
+        let dist: Vec<Vec<f64>> = g.nodes().map(|s| dijkstra(g, s, lengths).dist).collect();
+        let mut dmax: f64 = 0.0;
+        let mut dmin = f64::INFINITY;
+        for (i, row) in dist.iter().enumerate() {
+            for (j, &d) in row.iter().enumerate() {
+                if i != j {
+                    assert!(d.is_finite(), "FRT needs a connected graph");
+                    dmax = dmax.max(d);
+                    dmin = dmin.min(d);
+                }
+            }
+        }
+        let mut pi: Vec<NodeId> = g.nodes().collect();
+        pi.shuffle(rng);
+        let beta: f64 = 1.0 + rng.gen::<f64>();
+        #[allow(clippy::cast_possible_truncation)]
+        let top = dmax.log2().ceil() as i32 + 1;
+        #[allow(clippy::cast_possible_truncation)]
+        let bottom = (dmin.log2().floor() as i32) - 2;
+
+        let mut nodes: Vec<TreeNode> = Vec::new();
+        let mut leaf_of = vec![usize::MAX; n];
+        nodes.push(TreeNode {
+            parent: None,
+            children: Vec::new(),
+            leader: pi[0],
+            vertices: g.nodes().collect(),
+            up_path: None,
+            cut_capacity: 0.0,
+            level: top + 1,
+        });
+        let mut frontier = vec![0usize];
+        let mut level = top;
+        while !frontier.is_empty() {
+            assert!(level >= bottom, "FRT refinement failed to reach singletons");
+            let radius = beta * (level as f64).exp2();
+            let mut next_frontier = Vec::new();
+            for &ci in &frontier {
+                let verts = std::mem::take(&mut nodes[ci].vertices);
+                let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+                for &v in &verts {
+                    let center = pi
+                        .iter()
+                        .copied()
+                        .find(|u| dist[u.index()][v.index()] <= radius)
+                        .expect("v itself qualifies");
+                    match groups.iter_mut().find(|(c, _)| *c == center) {
+                        Some((_, vs)) => vs.push(v),
+                        None => groups.push((center, vec![v])),
+                    }
+                }
+                nodes[ci].vertices = verts;
+                if groups.len() == 1 && nodes[ci].vertices.len() > 1 {
+                    next_frontier.push(ci);
+                    continue;
+                }
+                for (center, vs) in groups {
+                    let leader = if vs.contains(&center) {
+                        center
+                    } else {
+                        *pi.iter().find(|u| vs.contains(u)).expect("nonempty group")
+                    };
+                    let idx = nodes.len();
+                    if vs.len() == 1 {
+                        leaf_of[vs[0].index()] = idx;
+                    } else {
+                        next_frontier.push(idx);
+                    }
+                    nodes.push(TreeNode {
+                        parent: Some(ci),
+                        children: Vec::new(),
+                        leader,
+                        vertices: vs,
+                        up_path: None,
+                        cut_capacity: 0.0,
+                        level,
+                    });
+                    nodes[ci].children.push(idx);
+                }
+            }
+            frontier = next_frontier;
+            level -= 1;
+        }
+        let mut in_cluster = vec![false; n];
+        for node in &mut nodes {
+            for &v in &node.vertices {
+                in_cluster[v.index()] = true;
+            }
+            let mut cut = 0.0;
+            for e in g.edges() {
+                if in_cluster[e.u.index()] != in_cluster[e.v.index()] {
+                    cut += e.cap;
+                }
+            }
+            node.cut_capacity = cut;
+            for &v in &node.vertices {
+                in_cluster[v.index()] = false;
+            }
+        }
+        for p in 0..nodes.len() {
+            let tree = dijkstra(g, nodes[p].leader, lengths);
+            for k in 0..nodes[p].children.len() {
+                let c = nodes[p].children[k];
+                let path = tree.path_to(g, nodes[c].leader).expect("connected");
+                nodes[c].up_path = Some(path.reversed());
+            }
+        }
+        FrtTree { nodes, leaf_of }
+    }
+
+    /// Field-for-field equality, `cut_capacity` bit for bit. The root's
+    /// `level` is exempt: it only records where refinement started.
+    fn assert_same_tree(got: &FrtTree, want: &FrtTree, ctx: &str) {
+        assert_eq!(got.leaf_of, want.leaf_of, "{ctx}: leaves");
+        assert_eq!(got.nodes.len(), want.nodes.len(), "{ctx}: node count");
+        for (i, (a, b)) in got.nodes.iter().zip(&want.nodes).enumerate() {
+            assert_eq!(a.vertices, b.vertices, "{ctx}: node {i} vertices");
+            assert_eq!(a.children, b.children, "{ctx}: node {i} children");
+            assert_eq!(a.parent, b.parent, "{ctx}: node {i} parent");
+            assert_eq!(a.leader, b.leader, "{ctx}: node {i} leader");
+            assert_eq!(a.up_path, b.up_path, "{ctx}: node {i} up_path");
+            assert_eq!(
+                a.cut_capacity.to_bits(),
+                b.cut_capacity.to_bits(),
+                "{ctx}: node {i} cut_capacity"
+            );
+            if i > 0 {
+                assert_eq!(a.level, b.level, "{ctx}: node {i} level");
+            }
+        }
+    }
+
+    /// A cycle with chords and parallel edges of mixed capacity, under
+    /// random lengths with ties.
+    fn multigraph(rng: &mut StdRng) -> (Graph, Vec<f64>) {
+        let n = 24;
+        let mut g = gen::cycle_graph(n);
+        for i in 0..n {
+            let v = NodeId::from_usize(i);
+            let w = NodeId::from_usize((i + 1) % n);
+            g.add_edge(v, w, 0.5 + f64::from(rng.gen_range(0u32..4)));
+            if i % 5 == 0 {
+                g.add_edge(v, NodeId::from_usize((i + 7) % n), 2.0);
+            }
+        }
+        let lengths = (0..g.num_edges())
+            .map(|_| f64::from(rng.gen_range(1u32..6)) * 0.25)
+            .collect();
+        (g, lengths)
+    }
+
+    /// Räcke-style lengths `exp(U·8)/cap`, spread over three decades.
+    fn raecke_lengths(g: &Graph, rng: &mut StdRng) -> Vec<f64> {
+        g.edges()
+            .iter()
+            .map(|e| (rng.gen::<f64>() * 8.0).exp() / e.cap)
+            .collect()
+    }
+
+    #[test]
+    fn matches_apsp_oracle() {
+        let mut topo_rng = StdRng::seed_from_u64(0x0f27);
+        let expander = gen::random_regular(256, 4, &mut topo_rng);
+        let expander_lengths = raecke_lengths(&expander, &mut topo_rng);
+        let (multi, multi_lengths) = multigraph(&mut topo_rng);
+        let unit = |name, g: Graph| {
+            let l = g.unit_lengths();
+            (name, g, l)
+        };
+        let cases = [
+            unit("grid 6x6", gen::grid(6, 6)),
+            unit("hypercube 6", gen::hypercube(6)),
+            unit("cycle 32", gen::cycle_graph(32)),
+            unit("path 16", gen::path_graph(16)),
+            unit("expander 256x4 unit", expander.clone()),
+            ("expander 256x4 raecke", expander, expander_lengths),
+            ("multigraph", multi, multi_lengths),
+        ];
+        for (name, g, lengths) in &cases {
+            for seed in 0..8 {
+                let mut r_new = StdRng::seed_from_u64(seed);
+                let mut r_old = StdRng::seed_from_u64(seed);
+                let got = FrtTree::build(g, lengths, &mut r_new);
+                let want = apsp_build(g, lengths, &mut r_old);
+                let ctx = format!("{name} seed {seed}");
+                assert_same_tree(&got, &want, &ctx);
+                assert_eq!(r_new.next_u64(), r_old.next_u64(), "{ctx}: rng state");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "FRT needs a connected graph")]
+    fn disconnected_graph_is_rejected() {
+        let mut g = Graph::new(4);
+        g.add_unit_edge(NodeId(0), NodeId(1));
+        g.add_unit_edge(NodeId(2), NodeId(3));
+        FrtTree::build(&g, &g.unit_lengths(), &mut StdRng::seed_from_u64(0));
+    }
+
+    use rand::RngCore;
+    use sor_graph::{dijkstra, Graph, NodeId};
 }
