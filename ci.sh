@@ -32,15 +32,13 @@ run_tsan() {
   # TSan needs the sanitizer runtime in std, hence -Zbuild-std and an
   # explicit target triple. The suites under test are the ones with real
   # cross-thread code: one recorder shared by several threads (obs
-  # concurrency + window_concurrency), the telemetry scrape thread
-  # reading a plane the engine writes (telemetry_scrape), and the path
-  # cache hammered from several threads (cache_concurrency).
+  # concurrency + window_concurrency) and the telemetry scrape thread
+  # reading a plane the engine writes (telemetry_scrape).
   RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
     cargo +nightly test -Zbuild-std --target "$host" \
     -p sor-obs --test concurrency \
     -p sor-obs --test window_concurrency \
     -p sor-serve --test telemetry_scrape \
-    -p sor-serve --test cache_concurrency \
     -- --test-threads=4 2>&1 | tee target/tsan/tsan.log
 }
 

@@ -52,7 +52,7 @@ use sor_sched::Policy;
 use sor_serve::{
     graph_fingerprint, matching_patterns, pairs_fingerprint, run_workload_with_patterns,
     scenario_patterns, CacheKey, CacheStats, Engine, EngineConfig, EpochSnapshot, PathSystemCache,
-    PublishedRoute, Request, SnapshotFormat, WorkloadConfig, WorkloadReport,
+    PublishedRoute, Request, WorkloadConfig, WorkloadReport,
 };
 use sor_te::{
     churn_experiment, failure_experiment, gravity_tm, online_simulation, run_scheme, ChurnResult,
@@ -600,21 +600,20 @@ pub fn serve_warm_cache() -> Quality {
     let rate_sum: f64 = route.paths.iter().map(|&(_, w)| w).sum();
 
     // Direct cache exercise: fingerprint keying and a scripted hit.
-    let probe = PathSystemCache::with_shards(2, 2);
+    let mut probe = PathSystemCache::new(2);
     let key = CacheKey {
         graph_fp: graph_fingerprint(&g),
         pairs_fp: pairs_fingerprint(&patterns[0]),
         sparsity: 1,
     };
-    let (_, miss_hit) = probe.get_or_insert_with(key, SnapshotFormat::Explicit, || {
+    let (_, miss_hit) = probe.get_or_insert_with(key, || {
         let mut sys = PathSystem::new();
         for &(s, t) in &patterns[0] {
             sys.insert(s, t, bfs_path(&g, s, t).expect("expander is connected"));
         }
         sys
     });
-    let (probed, second_hit) =
-        probe.get_or_insert_with(key, SnapshotFormat::Explicit, PathSystem::new);
+    let (probed, second_hit) = probe.get_or_insert_with(key, PathSystem::new);
 
     vec![
         q("serve/epochs", report.snapshots.len() as f64),

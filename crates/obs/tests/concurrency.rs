@@ -5,7 +5,6 @@
 //! interleave; threads with different recorders never see each other's
 //! numbers.
 
-use rayon::prelude::*;
 use sor_obs::Recorder;
 use std::sync::Barrier;
 use std::thread;
@@ -89,26 +88,4 @@ fn threads_with_their_own_recorders_do_not_bleed() {
         assert_eq!(snap.spans.len(), 1);
         assert_eq!(snap.spans[0].calls, 1);
     }
-}
-
-#[test]
-fn rayon_par_iter_idiom_counts_exactly() {
-    let rec = Recorder::new();
-    // The idiom the instrumented crates use (e.g. the TE failure sweeps
-    // run `failure_experiment` inside `par_iter`). With the vendored
-    // sequential rayon this runs on one thread — the assertion pins that
-    // counts recorded in `par_iter` closures reach the run's recorder.
-    let n: u64 = {
-        let _scope = rec.install();
-        (0..ITERS)
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|_| {
-                sor_obs::counter_add!("conc/rayon/adds");
-                1u64
-            })
-            .sum()
-    };
-    assert_eq!(n, ITERS);
-    assert_eq!(counter_value(&rec, "conc/rayon/adds"), ITERS);
 }

@@ -1,4 +1,4 @@
-//! Sharded, capacity-bounded cache of sampled path systems.
+//! Capacity-bounded LRU cache of sampled path systems.
 //!
 //! The semi-oblivious model's whole point is that the expensive phase —
 //! building an oblivious routing and sampling a sparse path system from
@@ -13,18 +13,13 @@
 //! keeps routing on it safely — an in-flight system is never dropped out
 //! from under its user.
 //!
-//! Shards are `parking_lot::Mutex`es over `BTreeMap`s (deterministic
-//! iteration, so eviction order is reproducible). The build closure of
-//! [`PathSystemCache::get_or_insert_with`] runs *while the shard lock is
-//! held*: concurrent requests for the same key produce exactly one miss
-//! and N−1 hits, which keeps the hit/miss counters exact — a property
-//! the concurrency tests pin down.
+//! The cache is one `BTreeMap` owned by the engine (deterministic
+//! iteration, so eviction order is reproducible). Its capacity bounds the
+//! resident entries in total.
 
-use crate::engine::SnapshotFormat;
 use sor_core::PathSystem;
 use sor_graph::{EdgeId, Graph, NodeId};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// FNV-1a 64-bit offset basis.
@@ -92,27 +87,12 @@ impl CacheKey {
             sparsity,
         }
     }
-
-    fn shard_of(&self, shards: usize) -> usize {
-        let mut h = fnv1a_u64(FNV_OFFSET, self.graph_fp);
-        h = fnv1a_u64(h, self.pairs_fp);
-        h = fnv1a_u64(h, self.sparsity as u64);
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            (h % shards.max(1) as u64) as usize
-        }
-    }
 }
 
 struct Entry {
     system: Arc<PathSystem>,
-    /// Snapshot format the entry was inserted under — diagnostic truth
-    /// for "what encoding is this epoch actually serving from".
-    encoding: SnapshotFormat,
     last_used: u64,
 }
-
-type Shard = parking_lot::Mutex<BTreeMap<CacheKey, Entry>>;
 
 /// Point-in-time counter snapshot of a [`PathSystemCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -159,98 +139,65 @@ impl CacheStats {
     }
 }
 
-/// Sharded LRU cache of sampled path systems (see module docs).
+/// LRU cache of sampled path systems (see module docs).
 pub struct PathSystemCache {
-    shards: Vec<Shard>,
-    per_shard_capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
+    entries: BTreeMap<CacheKey, Entry>,
+    capacity: usize,
+    tick: u64,
+    stats: CacheStats,
 }
 
 impl PathSystemCache {
-    /// Default shard count. Small: keys are few (pattern pool sized), and
-    /// the win is lock splitting, not hash-table scale.
-    pub const DEFAULT_SHARDS: usize = 8;
-
-    /// Cache holding at most `capacity` entries total, spread over
-    /// [`PathSystemCache::DEFAULT_SHARDS`] shards (per-shard capacity is
-    /// the ceiling split, so tiny capacities still admit one entry per
-    /// shard).
+    /// Cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(
-            capacity.div_ceil(Self::DEFAULT_SHARDS),
-            Self::DEFAULT_SHARDS,
-        )
-    }
-
-    /// Cache with an explicit shard layout: `shards` shards of
-    /// `per_shard_capacity` entries each. Tests use a single shard to make
-    /// eviction order fully scripted.
-    pub fn with_shards(per_shard_capacity: usize, shards: usize) -> Self {
-        assert!(per_shard_capacity >= 1, "cache needs capacity >= 1");
-        assert!(shards >= 1, "cache needs at least one shard");
+        assert!(capacity >= 1, "cache needs capacity >= 1");
         PathSystemCache {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            per_shard_capacity,
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+            entries: BTreeMap::new(),
+            capacity,
+            tick: 0,
+            stats: CacheStats::default(),
         }
     }
 
     /// Look up `key`, building and inserting the system on a miss.
-    /// Returns the shared system and whether this was a hit. The build
-    /// closure runs under the shard lock, so concurrent lookups of one
-    /// key cost exactly one build; if the insert pushes the shard over
-    /// capacity, the least-recently-used entry is evicted (outstanding
-    /// `Arc`s to it stay valid).
-    /// `encoding` tags the entry with the snapshot format it serves
-    /// (recorded on insert, readable via [`PathSystemCache::encoding`]).
+    /// Returns the shared system and whether this was a hit. If the
+    /// insert pushes the cache over capacity, the least-recently-used
+    /// entry is evicted (outstanding `Arc`s to it stay valid).
     pub fn get_or_insert_with(
-        &self,
+        &mut self,
         key: CacheKey,
-        encoding: SnapshotFormat,
         build: impl FnOnce() -> PathSystem,
     ) -> (Arc<PathSystem>, bool) {
-        // sor-check: allow(panic-path) — shard_of is modulo len, always in bounds
-        let shard = &self.shards[key.shard_of(self.shards.len())];
-        let mut map = shard.lock();
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = map.get_mut(&key) {
+        let now = self.tick;
+        self.tick += 1;
+        if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_used = now;
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.hits += 1;
             sor_obs::counter_add!("serve/cache_hits");
             return (Arc::clone(&entry.system), true);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.misses += 1;
         sor_obs::counter_add!("serve/cache_misses");
-        // Single-flight by design: the shard stays locked through the build,
-        // so concurrent misses on one key cost one solve.
         let system = Arc::new(build());
-        map.insert(
+        self.entries.insert(
             key,
             Entry {
                 system: Arc::clone(&system),
-                encoding,
                 last_used: now,
             },
         );
-        if map.len() > self.per_shard_capacity {
+        if self.entries.len() > self.capacity {
             // Deterministic LRU: ticks are unique, so the minimum is
             // unambiguous; BTreeMap iteration breaks (impossible) ties
             // by key order.
-            if let Some(&victim) = map
+            if let Some(&victim) = self
+                .entries
                 .iter()
                 .min_by_key(|(k, e)| (e.last_used, **k))
                 .map(|(k, _)| k)
             {
-                map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.entries.remove(&victim);
+                self.stats.evictions += 1;
                 sor_obs::counter_add!("serve/cache_evictions");
             }
         }
@@ -259,17 +206,7 @@ impl PathSystemCache {
 
     /// Peek without affecting LRU order or counters (tests, diagnostics).
     pub fn peek(&self, key: &CacheKey) -> Option<Arc<PathSystem>> {
-        // sor-check: allow(panic-path) — shard_of is modulo len, always in bounds
-        let shard = &self.shards[key.shard_of(self.shards.len())];
-        shard.lock().get(key).map(|e| Arc::clone(&e.system))
-    }
-
-    /// The snapshot format a resident entry was inserted under (peek
-    /// semantics: no LRU or counter movement; `None` if absent).
-    pub fn encoding(&self, key: &CacheKey) -> Option<SnapshotFormat> {
-        // sor-check: allow(panic-path) — shard_of is modulo len, always in bounds
-        let shard = &self.shards[key.shard_of(self.shards.len())];
-        shard.lock().get(key).map(|e| e.encoding)
+        self.entries.get(key).map(|e| Arc::clone(&e.system))
     }
 
     /// Drop every entry whose system routes over any of `failed` —
@@ -277,49 +214,39 @@ impl PathSystemCache {
     /// from the failure) survive, which is the point: a failure on one
     /// side of the network must not cold-start the whole cache. Returns
     /// the number of invalidated entries.
-    pub fn invalidate_edges(&self, failed: &[EdgeId]) -> usize {
+    pub fn invalidate_edges(&mut self, failed: &[EdgeId]) -> usize {
         if failed.is_empty() {
             return 0;
         }
-        let mut removed = 0usize;
-        for shard in &self.shards {
-            let mut map = shard.lock();
-            map.retain(|_, entry| {
-                let uses = entry.system.pairs().any(|(_, _, paths)| {
-                    paths
-                        .iter()
-                        .any(|p| failed.iter().any(|&e| p.contains_edge(e)))
-                });
-                if uses {
-                    removed += 1;
-                }
-                !uses
-            });
-        }
-        self.invalidations
-            .fetch_add(removed as u64, Ordering::Relaxed);
+        let before = self.entries.len();
+        self.entries.retain(|_, entry| {
+            !entry.system.pairs().any(|(_, _, paths)| {
+                paths
+                    .iter()
+                    .any(|p| failed.iter().any(|&e| p.contains_edge(e)))
+            })
+        });
+        let removed = before - self.entries.len();
+        self.stats.invalidations += removed as u64;
         sor_obs::count_usize("serve/cache_invalidations", removed);
         removed
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.entries.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            entries: self.len(),
+            entries: self.entries.len(),
+            ..self.stats
         }
     }
 }
@@ -339,13 +266,11 @@ mod tests {
     #[test]
     fn hit_after_miss_and_stats() {
         let g = gen::cycle_graph(6);
-        let cache = PathSystemCache::new(4);
+        let mut cache = PathSystemCache::new(4);
         let key = CacheKey::new(&g, &[(NodeId(0), NodeId(3))], 2);
-        let (a, hit) =
-            cache.get_or_insert_with(key, SnapshotFormat::Explicit, || system_for(&g, 0, 3));
+        let (a, hit) = cache.get_or_insert_with(key, || system_for(&g, 0, 3));
         assert!(!hit);
-        let (b, hit) =
-            cache.get_or_insert_with(key, SnapshotFormat::Explicit, || panic!("must not rebuild"));
+        let (b, hit) = cache.get_or_insert_with(key, || panic!("must not rebuild"));
         assert!(hit);
         assert!(Arc::ptr_eq(&a, &b));
         let st = cache.stats();
@@ -355,15 +280,13 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_but_arc_survives() {
         let g = gen::cycle_graph(8);
-        // one shard, capacity 2 → fully scripted eviction order
-        let cache = PathSystemCache::with_shards(2, 1);
+        let mut cache = PathSystemCache::new(2);
         let k = |t: u32| CacheKey::new(&g, &[(NodeId(0), NodeId(t))], 1);
-        let (first, _) =
-            cache.get_or_insert_with(k(2), SnapshotFormat::Explicit, || system_for(&g, 0, 2));
-        cache.get_or_insert_with(k(3), SnapshotFormat::Explicit, || system_for(&g, 0, 3));
+        let (first, _) = cache.get_or_insert_with(k(2), || system_for(&g, 0, 2));
+        cache.get_or_insert_with(k(3), || system_for(&g, 0, 3));
         // touch k(2) so k(3) is the LRU victim
-        cache.get_or_insert_with(k(2), SnapshotFormat::Explicit, || panic!("hit expected"));
-        cache.get_or_insert_with(k(4), SnapshotFormat::Explicit, || system_for(&g, 0, 4));
+        cache.get_or_insert_with(k(2), || panic!("hit expected"));
+        cache.get_or_insert_with(k(4), || system_for(&g, 0, 4));
         assert_eq!(cache.len(), 2);
         assert!(cache.peek(&k(3)).is_none(), "LRU entry evicted");
         assert!(cache.peek(&k(2)).is_some());
@@ -375,11 +298,11 @@ mod tests {
     #[test]
     fn invalidation_is_selective() {
         let g = gen::cycle_graph(6);
-        let cache = PathSystemCache::new(8);
+        let mut cache = PathSystemCache::new(8);
         let k1 = CacheKey::new(&g, &[(NodeId(0), NodeId(1))], 1);
         let k2 = CacheKey::new(&g, &[(NodeId(3), NodeId(4))], 1);
-        cache.get_or_insert_with(k1, SnapshotFormat::Explicit, || system_for(&g, 0, 1));
-        cache.get_or_insert_with(k2, SnapshotFormat::Explicit, || system_for(&g, 3, 4));
+        cache.get_or_insert_with(k1, || system_for(&g, 0, 1));
+        cache.get_or_insert_with(k2, || system_for(&g, 3, 4));
         // edge 0 is {0,1}: only k1's single-hop path crosses it
         let removed = cache.invalidate_edges(&[EdgeId(0)]);
         assert_eq!(removed, 1);
@@ -392,11 +315,11 @@ mod tests {
     #[test]
     fn stats_deltas_track_movement() {
         let g = gen::cycle_graph(6);
-        let cache = PathSystemCache::new(4);
+        let mut cache = PathSystemCache::new(4);
         let before = cache.stats();
         let key = CacheKey::new(&g, &[(NodeId(0), NodeId(3))], 2);
-        cache.get_or_insert_with(key, SnapshotFormat::Explicit, || system_for(&g, 0, 3));
-        cache.get_or_insert_with(key, SnapshotFormat::Explicit, || panic!("hit expected"));
+        cache.get_or_insert_with(key, || system_for(&g, 0, 3));
+        cache.get_or_insert_with(key, || panic!("hit expected"));
         let mid = cache.stats();
         let d = mid.delta_since(&before);
         assert_eq!(
@@ -408,21 +331,60 @@ mod tests {
         assert_eq!(before.delta_since(&mid), CacheDeltas::default());
     }
 
+    /// Keys on a 12-cycle: 22 distinct (pair, sparsity) instances.
+    fn pool_key(g: &Graph, i: u32) -> (CacheKey, u32) {
+        let t = 1 + i % 11;
+        let sparsity = 1 + (i / 11) as usize;
+        (CacheKey::new(g, &[(NodeId(0), NodeId(t))], sparsity), t)
+    }
+
     #[test]
-    fn entries_record_their_encoding() {
-        let g = gen::cycle_graph(6);
-        let cache = PathSystemCache::new(4);
-        let k1 = CacheKey::new(&g, &[(NodeId(0), NodeId(2))], 1);
-        let k2 = CacheKey::new(&g, &[(NodeId(1), NodeId(4))], 1);
-        cache.get_or_insert_with(k1, SnapshotFormat::Explicit, || system_for(&g, 0, 2));
-        cache.get_or_insert_with(k2, SnapshotFormat::Compact, || system_for(&g, 1, 4));
-        assert_eq!(cache.encoding(&k1), Some(SnapshotFormat::Explicit));
-        assert_eq!(cache.encoding(&k2), Some(SnapshotFormat::Compact));
-        let missing = CacheKey::new(&g, &[(NodeId(2), NodeId(5))], 1);
-        assert_eq!(cache.encoding(&missing), None);
-        // peek semantics: reading the tag moved no counters
-        let st = cache.stats();
-        assert_eq!((st.hits, st.misses), (0, 2));
+    fn capacity_bounds_total_entries() {
+        let g = gen::cycle_graph(12);
+        for keys in [1u32, 3, 8, 9] {
+            let capacity = keys as usize;
+            let mut cache = PathSystemCache::new(capacity);
+            for i in 0..=keys {
+                let (key, t) = pool_key(&g, i);
+                cache.get_or_insert_with(key, || system_for(&g, 0, t));
+                assert!(cache.len() <= capacity, "capacity {capacity}");
+            }
+            assert_eq!(cache.len(), capacity, "capacity {capacity}");
+            assert_eq!(cache.stats().evictions, 1, "capacity {capacity}");
+
+            // a pool of `capacity` recurring keys hits on every lookup
+            // once warm, whatever the keys' fingerprints
+            let mut cache = PathSystemCache::new(capacity);
+            for round in 0..3 {
+                for i in 0..keys {
+                    let (key, t) = pool_key(&g, i);
+                    let (_, hit) = cache.get_or_insert_with(key, || system_for(&g, 0, t));
+                    assert_eq!(hit, round > 0, "capacity {capacity}, key {i}");
+                }
+            }
+            let st = cache.stats();
+            assert_eq!((st.misses, st.evictions), (u64::from(keys), 0));
+        }
+    }
+
+    #[test]
+    fn len_never_exceeds_capacity() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let g = gen::cycle_graph(12);
+        let mut rng = StdRng::seed_from_u64(7);
+        for capacity in 1..=6 {
+            let mut cache = PathSystemCache::new(capacity);
+            for _ in 0..200 {
+                if rng.gen_range(0..8u32) == 0 {
+                    cache.invalidate_edges(&[EdgeId(rng.gen_range(0..12u32))]);
+                } else {
+                    let (key, t) = pool_key(&g, rng.gen_range(0..22u32));
+                    cache.get_or_insert_with(key, || system_for(&g, 0, t));
+                }
+                assert!(cache.len() <= capacity, "capacity {capacity}");
+                assert_eq!(cache.stats().entries, cache.len());
+            }
+        }
     }
 
     #[test]

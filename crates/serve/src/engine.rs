@@ -124,8 +124,8 @@ pub struct EngineConfig {
     pub seed: u64,
     /// How published snapshots materialize their path systems (explicit
     /// edge lists or compact next-hop tables). Published routes are
-    /// bit-identical either way; only the snapshot's size accounting and
-    /// the cache's encoding tag differ.
+    /// bit-identical either way; only the snapshot's size accounting
+    /// differs.
     pub snapshot_format: SnapshotFormat,
 }
 
@@ -572,7 +572,7 @@ impl Engine {
             cfg,
             ..
         } = self;
-        let (sampled, cache_hit) = cache.get_or_insert_with(key, cfg.snapshot_format, || {
+        let (sampled, cache_hit) = cache.get_or_insert_with(key, || {
             let _span = sor_obs::span("serve/sample");
             sample_k(routing, pairs, cfg.sparsity, rng).system
         });

@@ -8,7 +8,7 @@
 //! is answered by rate re-optimization restricted to a *cached* sparse
 //! path system — sampling happens only on cache misses.
 //!
-//! * [`cache`] — sharded, capacity-bounded LRU cache of sampled path
+//! * [`cache`] — capacity-bounded LRU cache of sampled path
 //!   systems, keyed by (graph fingerprint, pair-set fingerprint,
 //!   sparsity), with selective failure invalidation.
 //! * [`engine`] — the epoch lifecycle: ingest → admit (backpressure) →
