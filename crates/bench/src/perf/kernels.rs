@@ -11,6 +11,7 @@
 //! of the dead-api baseline.
 
 use super::{rng_for, table_quality};
+use rand::Rng;
 use sor_core::completion::{CompletionResult, CompletionRouting};
 use sor_core::eval::{
     enumerate_matching_demands, evaluate_vs_opt, DemandEval, EvalReport, IntegralEval,
@@ -117,15 +118,25 @@ pub fn frt_build() -> Quality {
 
 /// One FRT tree on a random 4-regular expander with 1024 vertices, big
 /// enough for the build's search work (`oblivious/frt/settled`) to show
-/// how it scales.
+/// how it scales, then 4096 seeded tree routes on it (their summed hops
+/// pin the routes).
 pub fn frt_expander() -> Quality {
     let _span = sor_obs::span("perf/frt_expander");
     let g = gen::random_regular(1024, 4, &mut rng_for(0x5f13));
     let tree = FrtTree::build(&g, &g.unit_lengths(), &mut rng_for(0x5f14));
     let max_rel = tree.relative_loads(&g).into_iter().fold(0.0f64, f64::max);
+    let mut rng = rng_for(0x5f15);
+    let n = NodeId::from_usize(g.num_nodes()).0;
+    let hops: usize = (0..4096)
+        .map(|_| {
+            tree.route(NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)))
+                .hops()
+        })
+        .sum();
     vec![
         q("frt_expander/tree_nodes", tree.len() as f64),
         q("frt_expander/max_rel_load", max_rel),
+        q("frt_expander/route_hops", hops as f64),
     ]
 }
 

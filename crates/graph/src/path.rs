@@ -127,46 +127,83 @@ impl Path {
     }
 
     /// Concatenate `self` (ending at `v`) with `other` (starting at `v`),
-    /// then *shortcut* any vertex repetitions so the result is simple.
+    /// erasing loops so the result is simple.
     ///
     /// This implements the standard "make the walk vertex-simple" step the
     /// paper invokes ("any routing can be made vertex-simple while not
-    /// increasing congestion or dilation"): whenever the combined walk
-    /// revisits a vertex, the loop between the visits is excised.
+    /// increasing congestion or dilation"): a copy of `self` walks `other`
+    /// through [`Path::extend_erased`], which cuts the loop out whenever the
+    /// walk revisits a vertex. `None` if `other` does not start at `v`.
     pub fn join_simplified(&self, other: &Path) -> Option<Path> {
-        if self.target() != other.source() {
-            return None;
+        let mut out = Path {
+            nodes: Vec::with_capacity(self.nodes.len() + other.hops()),
+            edges: Vec::with_capacity(self.hops() + other.hops()),
+        };
+        out.nodes.extend_from_slice(&self.nodes);
+        out.edges.extend_from_slice(&self.edges);
+        out.extend_erased(other).then_some(out)
+    }
+
+    /// Walk `other` (which must start at this path's target) in place,
+    /// with chronological loop erasure: each step that revisits a vertex
+    /// truncates the path back to that vertex's first visit. Erasing a
+    /// whole concatenated walk this way equals erasing after each join.
+    /// Returns `false`, leaving `self` unchanged, if the endpoints differ.
+    pub fn extend_erased(&mut self, other: &Path) -> bool {
+        self.walk(other.source(), other.edges.iter().zip(&other.nodes[1..]))
+    }
+
+    /// [`Path::extend_erased`] along `other` reversed: `other` must end at
+    /// this path's target and is walked back to its source.
+    pub fn extend_erased_reversed(&mut self, other: &Path) -> bool {
+        let back = other.nodes[..other.hops()].iter().rev();
+        self.walk(other.target(), other.edges.iter().rev().zip(back))
+    }
+
+    /// Walk edge `e` of `g` out of this path's target, erasing the loop if
+    /// its far end is already on the path. Returns `false`, leaving `self`
+    /// unchanged, if `e` does not touch the target.
+    pub fn step_erased(&mut self, g: &Graph, e: EdgeId) -> bool {
+        let (cur, rec) = (self.target(), g.edge(e));
+        if rec.u != cur && rec.v != cur {
+            return false;
         }
-        let mut nodes: Vec<NodeId> = Vec::with_capacity(self.nodes.len() + other.nodes.len());
-        let mut edges: Vec<EdgeId> = Vec::with_capacity(self.edges.len() + other.edges.len());
-        nodes.extend_from_slice(&self.nodes);
-        edges.extend_from_slice(&self.edges);
-        nodes.extend_from_slice(&other.nodes[1..]);
-        edges.extend_from_slice(&other.edges);
-        // Excise loops: keep a map from vertex to its position in the
-        // running prefix; on a repeat, truncate back to the first visit.
-        let mut pos: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
-        let mut out_nodes: Vec<NodeId> = Vec::with_capacity(nodes.len());
-        let mut out_edges: Vec<EdgeId> = Vec::with_capacity(edges.len());
-        for (i, &v) in nodes.iter().enumerate() {
-            if let Some(&j) = pos.get(&v) {
-                // truncate back to position j
-                for dropped in out_nodes.drain(j + 1..) {
-                    pos.remove(&dropped);
-                }
-                out_edges.truncate(j);
-            } else {
-                if i > 0 {
-                    out_edges.push(edges[i - 1]);
-                }
-                pos.insert(v, out_nodes.len());
-                out_nodes.push(v);
+        self.step(e, rec.other(cur));
+        true
+    }
+
+    /// The one loop-erasure step: append `e` to `v`, or truncate back to
+    /// `v` if the path already visits it. Paths are short (tens of hops),
+    /// so a scan of the simple prefix beats hashing it.
+    fn step(&mut self, e: EdgeId, v: NodeId) {
+        match self.nodes.iter().position(|&u| u == v) {
+            Some(j) => {
+                self.nodes.truncate(j + 1);
+                self.edges.truncate(j);
+            }
+            None => {
+                self.nodes.push(v);
+                self.edges.push(e);
             }
         }
-        Some(Path {
-            nodes: out_nodes,
-            edges: out_edges,
-        })
+    }
+
+    /// Take `steps` (edge, next vertex) from `from`, if the path ends there.
+    fn walk<'a>(
+        &mut self,
+        from: NodeId,
+        steps: impl Iterator<Item = (&'a EdgeId, &'a NodeId)>,
+    ) -> bool {
+        if self.target() != from {
+            return false;
+        }
+        let hops = steps.size_hint().0;
+        self.nodes.reserve(hops);
+        self.edges.reserve(hops);
+        for (&e, &v) in steps {
+            self.step(e, v);
+        }
+        true
     }
 
     /// Validate this path against a graph: adjacency, simplicity, length
@@ -304,6 +341,51 @@ mod tests {
         let j = a.join_simplified(&b).unwrap();
         assert!(j.validate(&g));
         assert_eq!(j.nodes(), &[NodeId(0), NodeId(1), NodeId(2), NodeId(4)]);
+    }
+
+    /// Square 0-1-2-3-0 (edges 0..4) with a pendant 4 on 2 (edge 4), and
+    /// a path builder over its vertex ids.
+    fn square() -> (Graph, impl Fn(&[u32]) -> Path) {
+        let mut g = Graph::new(5);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)] {
+            g.add_unit_edge(NodeId(u), NodeId(v));
+        }
+        let h = g.clone();
+        let p = move |vs: &[u32]| {
+            let vs: Vec<NodeId> = vs.iter().map(|&v| NodeId(v)).collect();
+            Path::from_nodes(&h, &vs).unwrap()
+        };
+        (g, p)
+    }
+
+    #[test]
+    fn extend_erased_cuts_loops() {
+        let (g, p) = square();
+        // forward 0-1, then 4-2-1 walked back from 1
+        let mut w = p(&[0, 1]);
+        assert!(w.extend_erased_reversed(&p(&[4, 2, 1])));
+        assert_eq!(w, p(&[0, 1, 2, 4]));
+        // a partial loop: 0-1-2-3 then 3-2-4 drops 2-3-2
+        let mut w = p(&[0, 1, 2, 3]);
+        assert!(w.extend_erased(&p(&[3, 2, 4])));
+        assert_eq!(w, p(&[0, 1, 2, 4]));
+        // one step back onto the path truncates to that vertex
+        assert!(w.step_erased(&g, EdgeId(4)));
+        assert_eq!(w, p(&[0, 1, 2]));
+        // a loop back to the source leaves the trivial path
+        assert!(w.extend_erased(&p(&[2, 3, 0])));
+        assert_eq!(w, Path::trivial(NodeId(0)));
+    }
+
+    #[test]
+    fn mismatched_endpoints_leave_the_path_unchanged() {
+        let (g, p) = square();
+        let mut w = p(&[0, 1]);
+        assert!(!w.extend_erased(&p(&[2, 3])));
+        assert!(!w.extend_erased_reversed(&p(&[2, 3])));
+        assert!(!w.step_erased(&g, EdgeId(2)));
+        assert_eq!(w, p(&[0, 1]));
+        assert!(w.join_simplified(&p(&[2, 3])).is_none());
     }
 
     #[test]

@@ -43,7 +43,7 @@ use rand::Rng;
 use sor_graph::traversal::all_pairs_hops;
 use sor_graph::{dijkstra, Graph, NodeId, Path};
 use sor_oblivious::frt::FrtTree;
-use sor_oblivious::routing::{ObliviousRouting, PathDist};
+use sor_oblivious::routing::{merge_paths, ObliviousRouting, PathDist};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -150,24 +150,15 @@ impl ObliviousRouting for HopRouting {
         }
         let cap = self.hop_cap(s, t);
         let w = 1.0 / self.trees.len() as f64;
-        let mut merged: HashMap<Path, f64> = HashMap::new();
-        for tree in &self.trees {
+        let dist = Arc::new(merge_paths(self.trees.iter().map(|tree| {
             let p = tree.route(s, t);
             let p = if p.hops() <= cap {
                 p
             } else {
                 self.fallback(s, t)
             };
-            *merged.entry(p).or_insert(0.0) += w;
-        }
-        let mut dist: PathDist = merged.into_iter().collect();
-        dist.sort_by(|a, b| {
-            a.0.nodes()
-                .iter()
-                .map(|v| v.0)
-                .cmp(b.0.nodes().iter().map(|v| v.0))
-        });
-        let dist = Arc::new(dist);
+            (p, w)
+        })));
         self.cache.lock().insert((s, t), Arc::clone(&dist));
         dist
     }

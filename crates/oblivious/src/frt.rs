@@ -333,64 +333,12 @@ impl FrtTree {
     }
 
     /// The physical path obtained by routing `s → t` through the tree:
-    /// up-paths to the lowest common ancestor, then down-paths, all
-    /// concatenated and loop-erased.
-    #[expect(
-        clippy::expect_used,
-        reason = "consecutive up-paths meet at the cluster leader"
-    )]
+    /// up-paths to the lowest common ancestor, then down-paths, walked
+    /// in one pass with chronological loop erasure (see [`route_up_down`]).
     pub fn route(&self, s: NodeId, t: NodeId) -> Path {
-        if s == t {
-            return Path::trivial(s);
-        }
-        let (up_chain, down_chain) = self.chains_to_lca(s, t);
-        let mut path = Path::trivial(s);
-        for i in up_chain {
-            if let Some(up) = &self.nodes[i].up_path {
-                path = path.join_simplified(up).expect("chained at leader");
-            }
-        }
-        for i in down_chain {
-            if let Some(up) = &self.nodes[i].up_path {
-                path = path
-                    .join_simplified(&up.reversed())
-                    .expect("chained at leader");
-            }
-        }
-        debug_assert_eq!(path.source(), s);
-        debug_assert_eq!(path.target(), t);
-        path
-    }
-
-    /// Tree-edge chains from `s` up to the LCA and from the LCA down to
-    /// `t` (the down chain is ordered top-to-bottom).
-    fn chains_to_lca(&self, s: NodeId, t: NodeId) -> (Vec<usize>, Vec<usize>) {
-        let mut sa = Vec::new();
-        let mut i = self.leaf(s);
-        sa.push(i);
-        while let Some(p) = self.nodes[i].parent {
-            i = p;
-            sa.push(i);
-        }
-        let mut ta = Vec::new();
-        let mut j = self.leaf(t);
-        ta.push(j);
-        while let Some(p) = self.nodes[j].parent {
-            j = p;
-            ta.push(j);
-        }
-        // Trim the common suffix (shared ancestors above the LCA).
-        let mut a = sa.len();
-        let mut b = ta.len();
-        while a > 0 && b > 0 && sa[a - 1] == ta[b - 1] {
-            a -= 1;
-            b -= 1;
-        }
-        // sa[..a] are strictly below the LCA on s's side; same for ta[..b].
-        let up: Vec<usize> = sa[..a].to_vec();
-        let mut down: Vec<usize> = ta[..b].to_vec();
-        down.reverse();
-        (up, down)
+        route_up_down(s, t, self.leaf(s), self.leaf(t), &|i| {
+            (self.nodes[i].parent, self.nodes[i].up_path.as_ref())
+        })
     }
 
     /// Räcke relative load: for each graph edge, the total cut capacity of
@@ -423,8 +371,66 @@ impl FrtTree {
     }
 }
 
+/// Route `s → t` through a rooted cluster tree in which every parent's
+/// index is below its children's: walk the up-paths from `s`'s leaf
+/// `leaf_s` to the lowest common ancestor, then the reversed up-paths down
+/// to `t`'s leaf `leaf_t`, erasing loops as the walk goes
+/// ([`Path::extend_erased`]). The one output path is the only allocation.
+/// `link(i)` is cluster `i`'s parent and up-path.
+pub(crate) fn route_up_down<'a, F>(
+    s: NodeId,
+    t: NodeId,
+    leaf_s: usize,
+    leaf_t: usize,
+    link: &F,
+) -> Path
+where
+    F: Fn(usize) -> (Option<usize>, Option<&'a Path>),
+{
+    let parent = |i: usize| link(i).0.unwrap_or(0);
+    // Stepping up from the larger index never passes the LCA.
+    let (mut a, mut b) = (leaf_s, leaf_t);
+    while a != b {
+        if a > b {
+            a = parent(a);
+        } else {
+            b = parent(b);
+        }
+    }
+    let mut path = Path::trivial(s);
+    let mut i = leaf_s;
+    while i != a {
+        let (p, up) = link(i);
+        if let Some(up) = up {
+            let joined = path.extend_erased(up);
+            debug_assert!(joined, "up-paths chain at the leaders");
+        }
+        i = p.unwrap_or(0);
+    }
+    descend(&mut path, leaf_t, a, link);
+    debug_assert_eq!(path.target(), t);
+    path
+}
+
+/// Walk the reversed up-paths from the LCA `top` down to `i`, top first.
+/// The recursion is as deep as the tree.
+fn descend<'a, F>(path: &mut Path, i: usize, top: usize, link: &F)
+where
+    F: Fn(usize) -> (Option<usize>, Option<&'a Path>),
+{
+    if i == top {
+        return;
+    }
+    let (p, up) = link(i);
+    descend(path, p.unwrap_or(0), top, link);
+    if let Some(up) = up {
+        let joined = path.extend_erased_reversed(up);
+        debug_assert!(joined, "up-paths chain at the leaders");
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -706,24 +712,7 @@ mod tests {
 
     #[test]
     fn matches_apsp_oracle() {
-        let mut topo_rng = StdRng::seed_from_u64(0x0f27);
-        let expander = gen::random_regular(256, 4, &mut topo_rng);
-        let expander_lengths = raecke_lengths(&expander, &mut topo_rng);
-        let (multi, multi_lengths) = multigraph(&mut topo_rng);
-        let unit = |name, g: Graph| {
-            let l = g.unit_lengths();
-            (name, g, l)
-        };
-        let cases = [
-            unit("grid 6x6", gen::grid(6, 6)),
-            unit("hypercube 6", gen::hypercube(6)),
-            unit("cycle 32", gen::cycle_graph(32)),
-            unit("path 16", gen::path_graph(16)),
-            unit("expander 256x4 unit", expander.clone()),
-            ("expander 256x4 raecke", expander, expander_lengths),
-            ("multigraph", multi, multi_lengths),
-        ];
-        for (name, g, lengths) in &cases {
+        for (name, g, lengths) in &oracle_cases() {
             for seed in 0..8 {
                 let mut r_new = StdRng::seed_from_u64(seed);
                 let mut r_old = StdRng::seed_from_u64(seed);
@@ -732,6 +721,112 @@ mod tests {
                 let ctx = format!("{name} seed {seed}");
                 assert_same_tree(&got, &want, &ctx);
                 assert_eq!(r_new.next_u64(), r_old.next_u64(), "{ctx}: rng state");
+            }
+        }
+    }
+
+    /// Assert that `route` equals the join-chain route the one-pass walk
+    /// replaced, kept as the oracle: both ancestor chains trimmed at the
+    /// LCA, then one copy-and-erase join per up-path (the old
+    /// `join_simplified`, with its own vertex → position map). Checks
+    /// all targets of every source, of every 32nd above 64 vertices.
+    /// `leaf(v)` is `v`'s leaf, `link(i)` cluster `i`'s parent and up-path.
+    pub(crate) fn assert_join_chain_routes<'a>(
+        g: &Graph,
+        ctx: &str,
+        route: impl Fn(NodeId, NodeId) -> Path,
+        leaf: impl Fn(NodeId) -> usize,
+        link: impl Fn(usize) -> (Option<usize>, Option<&'a Path>),
+    ) {
+        let chain = |mut i| {
+            let mut c = vec![i];
+            while let Some(p) = link(i).0 {
+                c.push(p);
+                i = p;
+            }
+            c
+        };
+        let stride = if g.num_nodes() > 64 { 32 } else { 1 };
+        for (s, t) in g
+            .nodes()
+            .step_by(stride)
+            .flat_map(|s| g.nodes().map(move |t| (s, t)))
+        {
+            let (sa, ta) = (chain(leaf(s)), chain(leaf(t)));
+            let (mut a, mut b) = (sa.len(), ta.len());
+            while a > 0 && b > 0 && sa[a - 1] == ta[b - 1] {
+                a -= 1;
+                b -= 1;
+            }
+            let ups = sa[..a].iter().filter_map(|&i| link(i).1.cloned());
+            let downs = ta[..b]
+                .iter()
+                .rev()
+                .filter_map(|&i| link(i).1.map(Path::reversed));
+            let (mut nodes, mut edges) = (vec![s], Vec::new());
+            for p in ups.chain(downs) {
+                assert_eq!(nodes.last(), Some(&p.source()), "chained at leader");
+                let walk: Vec<NodeId> = nodes.iter().chain(&p.nodes()[1..]).copied().collect();
+                let walk_edges: Vec<EdgeId> = edges.iter().chain(p.edges()).copied().collect();
+                let mut pos: HashMap<NodeId, usize> = HashMap::new();
+                (nodes, edges) = (Vec::new(), Vec::new());
+                for (i, &v) in walk.iter().enumerate() {
+                    if let Some(&j) = pos.get(&v) {
+                        for dropped in nodes.drain(j + 1..) {
+                            pos.remove(&dropped);
+                        }
+                        edges.truncate(j);
+                    } else {
+                        if i > 0 {
+                            edges.push(walk_edges[i - 1]);
+                        }
+                        pos.insert(v, nodes.len());
+                        nodes.push(v);
+                    }
+                }
+            }
+            let got = route(s, t);
+            assert_eq!(got.nodes(), &nodes[..], "{ctx} ({s}, {t})");
+            assert_eq!(got.edges(), &edges[..], "{ctx} ({s}, {t})");
+            assert_eq!(got.target(), t, "{ctx} ({s}, {t})");
+        }
+    }
+
+    /// `(name, graph, lengths)` for the oracle tests: unit-length grid,
+    /// hypercube, cycle, path and 256-vertex expander, the expander under
+    /// Räcke-style lengths, and the parallel-edge multigraph.
+    pub(crate) fn oracle_cases() -> Vec<(&'static str, Graph, Vec<f64>)> {
+        let mut topo_rng = StdRng::seed_from_u64(0x0f27);
+        let expander = gen::random_regular(256, 4, &mut topo_rng);
+        let expander_lengths = raecke_lengths(&expander, &mut topo_rng);
+        let (multi, multi_lengths) = multigraph(&mut topo_rng);
+        let unit = |name, g: Graph| {
+            let l = g.unit_lengths();
+            (name, g, l)
+        };
+        vec![
+            unit("grid 6x6", gen::grid(6, 6)),
+            unit("hypercube 6", gen::hypercube(6)),
+            unit("cycle 32", gen::cycle_graph(32)),
+            unit("path 16", gen::path_graph(16)),
+            unit("expander 256x4 unit", expander.clone()),
+            ("expander 256x4 raecke", expander, expander_lengths),
+            ("multigraph", multi, multi_lengths),
+        ]
+    }
+
+    #[test]
+    fn route_matches_join_chain_oracle() {
+        for (name, g, lengths) in &oracle_cases() {
+            for seed in 0..8 {
+                let tree = FrtTree::build(g, lengths, &mut StdRng::seed_from_u64(seed));
+                assert_join_chain_routes(
+                    g,
+                    &format!("{name} seed {seed}"),
+                    |s, t| tree.route(s, t),
+                    |v| tree.leaf(v),
+                    |i| (tree.nodes[i].parent, tree.nodes[i].up_path.as_ref()),
+                );
             }
         }
     }
@@ -746,5 +841,6 @@ mod tests {
     }
 
     use rand::RngCore;
-    use sor_graph::{dijkstra, Graph, NodeId};
+    use sor_graph::{dijkstra, EdgeId, Graph, NodeId};
+    use std::collections::HashMap;
 }

@@ -12,7 +12,8 @@
 //!
 //! Experiment E12 compares the two substrates head to head.
 
-use crate::routing::{ObliviousRouting, PathDist};
+use crate::frt::route_up_down;
+use crate::routing::{merge_paths, ObliviousRouting, PathDist};
 use parking_lot::Mutex;
 use rand::Rng;
 use sor_graph::{dijkstra, Graph, NodeId, Path};
@@ -265,48 +266,13 @@ impl SpectralHierarchy {
     }
 
     /// Route `s → t` through the hierarchy (up to the LCA, then down),
-    /// loop-erased.
-    #[expect(
-        clippy::expect_used,
-        reason = "consecutive up-paths meet at the cluster leader"
-    )]
+    /// walked in one pass with chronological loop erasure (see
+    /// [`crate::frt::FrtTree::route`]).
     pub fn route(&self, s: NodeId, t: NodeId) -> Path {
-        if s == t {
-            return Path::trivial(s);
-        }
-        let mut cur = self.leaf_of[s.index()];
-        let mut sa = vec![cur];
-        while let Some(p) = self.clusters[cur].parent {
-            sa.push(p);
-            cur = p;
-        }
-        let mut cur = self.leaf_of[t.index()];
-        let mut ta = vec![cur];
-        while let Some(p) = self.clusters[cur].parent {
-            ta.push(p);
-            cur = p;
-        }
-        let (mut a, mut b) = (sa.len(), ta.len());
-        while a > 0 && b > 0 && sa[a - 1] == ta[b - 1] {
-            a -= 1;
-            b -= 1;
-        }
-        let mut path = Path::trivial(s);
-        for &i in &sa[..a] {
-            if let Some(up) = &self.clusters[i].up_path {
-                path = path.join_simplified(up).expect("chained at leader");
-            }
-        }
-        for &i in ta[..b].iter().rev() {
-            if let Some(up) = &self.clusters[i].up_path {
-                path = path
-                    .join_simplified(&up.reversed())
-                    .expect("chained at leader");
-            }
-        }
-        debug_assert_eq!(path.source(), s);
-        debug_assert_eq!(path.target(), t);
-        path
+        let (ls, lt) = (self.leaf_of[s.index()], self.leaf_of[t.index()]);
+        route_up_down(s, t, ls, lt, &|i| {
+            (self.clusters[i].parent, self.clusters[i].up_path.as_ref())
+        })
     }
 
     /// Räcke relative load of this hierarchy (see
@@ -398,19 +364,9 @@ impl ObliviousRouting for HierRouting {
             return Arc::clone(d);
         }
         let w = 1.0 / self.hierarchies.len() as f64;
-        let mut merged: HashMap<Path, f64> = HashMap::new();
-        for h in &self.hierarchies {
-            *merged.entry(h.route(s, t)).or_insert(0.0) += w;
-        }
-        // sor-check: allow(hash-order) — merged weights are order-independent and the vec is sorted just below
-        let mut dist: PathDist = merged.into_iter().collect();
-        dist.sort_by(|a, b| {
-            a.0.nodes()
-                .iter()
-                .map(|v| v.0)
-                .cmp(b.0.nodes().iter().map(|v| v.0))
-        });
-        let dist = Arc::new(dist);
+        let dist = Arc::new(merge_paths(
+            self.hierarchies.iter().map(|h| (h.route(s, t), w)),
+        ));
         self.cache.lock().insert((s, t), Arc::clone(&dist));
         dist
     }
@@ -475,6 +431,26 @@ mod tests {
                 assert!(p.validate(&g));
                 assert_eq!(p.source(), s);
                 assert_eq!(p.target(), t);
+            }
+        }
+    }
+
+    #[test]
+    fn route_matches_join_chain_oracle() {
+        use crate::frt::tests::{assert_join_chain_routes, oracle_cases};
+        for (name, g, lengths) in &oracle_cases() {
+            let w: Vec<f64> = lengths.iter().map(|l| 1.0 / l).collect();
+            // spectral builds on the expanders are slow in debug builds
+            let seeds = if g.num_nodes() > 64 { 2 } else { 8 };
+            for seed in 0..seeds {
+                let h = SpectralHierarchy::build(g, &w, &mut StdRng::seed_from_u64(seed));
+                assert_join_chain_routes(
+                    g,
+                    &format!("{name} seed {seed}"),
+                    |s, t| h.route(s, t),
+                    |v| h.leaf_of[v.index()],
+                    |i| (h.clusters[i].parent, h.clusters[i].up_path.as_ref()),
+                );
             }
         }
     }

@@ -20,7 +20,7 @@
 //! theorems actually consume.
 
 use crate::frt::FrtTree;
-use crate::routing::{ObliviousRouting, PathDist};
+use crate::routing::{merge_paths, ObliviousRouting, PathDist};
 use parking_lot::Mutex;
 use rand::Rng;
 use sor_graph::{Graph, NodeId, Path};
@@ -119,19 +119,9 @@ impl ObliviousRouting for RaeckeRouting {
             return Arc::clone(d);
         }
         let w = 1.0 / self.trees.len() as f64;
-        let mut merged: HashMap<Path, f64> = HashMap::new();
-        for tree in &self.trees {
-            *merged.entry(tree.route(s, t)).or_insert(0.0) += w;
-        }
-        // sor-check: allow(hash-order) — merged weights are order-independent and the vec is sorted just below
-        let mut dist: PathDist = merged.into_iter().collect();
-        dist.sort_by(|a, b| {
-            a.0.nodes()
-                .iter()
-                .map(|v| v.0)
-                .cmp(b.0.nodes().iter().map(|v| v.0))
-        });
-        let dist = Arc::new(dist);
+        let dist = Arc::new(merge_paths(
+            self.trees.iter().map(|tree| (tree.route(s, t), w)),
+        ));
         self.cache.lock().insert((s, t), Arc::clone(&dist));
         dist
     }
@@ -252,6 +242,30 @@ mod tests {
             cm < c1,
             "mixture ({cm}) should beat a single tree ({c1}) on the cycle"
         );
+    }
+
+    #[test]
+    fn multigraph_distributions_are_deterministic() {
+        // A doubled cycle: paths over parallel edges share a node sequence,
+        // so only the edge ids order them.
+        let mut g = gen::cycle_graph(12);
+        for i in 0..12 {
+            g.add_unit_edge(NodeId::from_usize(i), NodeId::from_usize((i + 1) % 12));
+        }
+        let a = RaeckeRouting::build(g.clone(), 12, &mut StdRng::seed_from_u64(1));
+        let b = RaeckeRouting::build(g.clone(), 12, &mut StdRng::seed_from_u64(1));
+        let mut parallel = 0;
+        for s in g.nodes() {
+            for t in g.nodes().filter(|&t| t != s) {
+                let (da, db) = (a.path_distribution(s, t), b.path_distribution(s, t));
+                assert_eq!(da, db, "({s}, {t})");
+                parallel += da
+                    .windows(2)
+                    .filter(|w| w[0].0.nodes() == w[1].0.nodes())
+                    .count();
+            }
+        }
+        assert!(parallel > 0, "no two paths share a node sequence");
     }
 
     use sor_graph::NodeId;

@@ -5,7 +5,7 @@
 //! walks are the "maximally diverse but quality-blind" end of that
 //! spectrum.
 
-use crate::routing::{sample_from_dist, ObliviousRouting, PathDist};
+use crate::routing::{merge_paths, sample_from_dist, ObliviousRouting, PathDist};
 use rand::Rng;
 use sor_graph::{Graph, NodeId, Path};
 use std::sync::Arc;
@@ -35,38 +35,22 @@ impl RandomWalkRouting {
     }
 
     /// One loop-erased random walk from `s` to `t`.
-    #[expect(clippy::expect_used, reason = "a loop-erased walk is a simple path")]
     fn walk<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {
         let n = self.g.num_nodes();
         // Hitting time on a connected graph is O(n^3) in the worst case;
         // this cap only guards against bugs.
         let max_steps = 100 * n * n * n + 1000;
-        // Walk recording (node, incoming edge); loop-erase on revisits.
-        let mut nodes = vec![s];
-        let mut edges = Vec::new();
-        let mut pos = std::collections::HashMap::new();
-        pos.insert(s, 0usize);
+        let mut path = Path::trivial(s);
         let mut steps = 0usize;
-        // `nodes` starts with `[s]` and only grows
-        while nodes[nodes.len() - 1] != t {
+        while path.target() != t {
             steps += 1;
             assert!(steps <= max_steps, "random walk failed to hit target");
-            let cur = nodes[nodes.len() - 1];
-            let inc = self.g.incident(cur);
-            let &(e, v) = &inc[rng.gen_range(0..inc.len())];
-            if let Some(&i) = pos.get(&v) {
-                // erase the loop back to the first visit of v
-                for dropped in nodes.drain(i + 1..) {
-                    pos.remove(&dropped);
-                }
-                edges.truncate(i);
-            } else {
-                pos.insert(v, nodes.len());
-                nodes.push(v);
-                edges.push(e);
-            }
+            let inc = self.g.incident(path.target());
+            let (e, _) = inc[rng.gen_range(0..inc.len())];
+            let stepped = path.step_erased(&self.g, e);
+            debug_assert!(stepped, "an incident edge touches the walk's end");
         }
-        Path::from_edges(&self.g, s, edges).expect("loop-erased walk is a simple path")
+        path
     }
 }
 
@@ -85,21 +69,9 @@ impl ObliviousRouting for RandomWalkRouting {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(((s.0 as u64) << 32) | t.0 as u64);
         let mut rng = rand::rngs::StdRng::seed_from_u64(pair_seed);
-        let mut merged: std::collections::HashMap<Path, f64> = std::collections::HashMap::new();
         let w = 1.0 / self.support_samples as f64;
-        for _ in 0..self.support_samples {
-            let p = self.walk(s, t, &mut rng);
-            *merged.entry(p).or_insert(0.0) += w;
-        }
-        // sor-check: allow(hash-order) — merged weights are order-independent and the vec is sorted just below
-        let mut dist: PathDist = merged.into_iter().collect();
-        dist.sort_by(|a, b| {
-            a.0.nodes()
-                .iter()
-                .map(|v| v.0)
-                .cmp(b.0.nodes().iter().map(|v| v.0))
-        });
-        Arc::new(dist)
+        let walks = (0..self.support_samples).map(|_| (self.walk(s, t, &mut rng), w));
+        Arc::new(merge_paths(walks))
     }
 
     fn sample_path<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {

@@ -44,6 +44,24 @@ pub trait ObliviousRouting {
     }
 }
 
+/// Fold weighted draws into a [`PathDist`]: the paths in (node ids, edge
+/// ids) order, each distinct path once, carrying the sum of its draws'
+/// weights in draw order. The edge ids separate parallel-edge paths, so
+/// the result is a pure function of the draws.
+pub fn merge_paths(draws: impl IntoIterator<Item = (Path, f64)>) -> PathDist {
+    let mut draws: PathDist = draws.into_iter().collect();
+    // stable: equal paths keep their draw order
+    draws.sort_by(|a, b| (a.0.nodes(), a.0.edges()).cmp(&(b.0.nodes(), b.0.edges())));
+    let mut dist: PathDist = Vec::with_capacity(draws.len());
+    for (p, w) in draws {
+        match dist.last_mut() {
+            Some((q, acc)) if *q == p => *acc += w,
+            _ => dist.push((p, w)),
+        }
+    }
+    dist
+}
+
 /// Draw one path from a [`PathDist`].
 pub fn sample_from_dist<R: Rng + ?Sized>(dist: &PathDist, rng: &mut R) -> Path {
     assert!(!dist.is_empty(), "empty path distribution");

@@ -11,7 +11,7 @@
 //!   bit-reversal forces `Ω(√N / d)` congestion \[KKT91\], which experiment
 //!   E3 reproduces.
 
-use crate::routing::{ObliviousRouting, PathDist};
+use crate::routing::{merge_paths, ObliviousRouting, PathDist};
 use rand::Rng;
 use sor_graph::{gen::hypercube::dim_of, Graph, NodeId, Path};
 use std::sync::Arc;
@@ -87,21 +87,8 @@ impl ObliviousRouting for ValiantHypercube {
         assert!(s != t);
         let n = NodeId::from_usize(self.g.num_nodes()).0;
         let w_each = 1.0 / n as f64;
-        let mut merged: std::collections::HashMap<Path, f64> = std::collections::HashMap::new();
-        for w in 0..n {
-            let p = valiant_path(&self.g, self.d, s.0, w, t.0);
-            *merged.entry(p).or_insert(0.0) += w_each;
-        }
-        // sor-check: allow(hash-order) — merged weights are order-independent and the vec is sorted just below
-        let mut dist: PathDist = merged.into_iter().collect();
-        // Deterministic order for reproducibility.
-        dist.sort_by(|a, b| {
-            a.0.nodes()
-                .iter()
-                .map(|v| v.0)
-                .cmp(b.0.nodes().iter().map(|v| v.0))
-        });
-        Arc::new(dist)
+        let paths = (0..n).map(|w| (valiant_path(&self.g, self.d, s.0, w, t.0), w_each));
+        Arc::new(merge_paths(paths))
     }
 
     fn sample_path<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {
