@@ -13,13 +13,16 @@
 //! perf --gate --wall                # full trials, also gate wall medians
 //! perf --write-baseline             # regenerate BENCH_BASELINE.json
 //! perf --list                       # print suite bench names
-//! perf --scale --scale-max 12       # Räcke set-up at n = 2^8..2^12
+//! perf --scale --scale-max 12       # gate the Räcke set-up's growth over n = 2^8..2^12
 //! ```
+//!
+//! The modes are exclusive, and a flag that the chosen mode ignores is a
+//! usage error (exit 2) rather than a silent no-op.
 //!
 //! Gated runs append one JSON line to `BENCH_TRAJECTORY.jsonl` (suppress
 //! with `--no-trajectory`) recording git revision, status, and totals.
 
-use sor_bench::perf::scale::{render_scale, run_scale, SCALE_BUDGET_S, SCALE_MIN_K};
+use sor_bench::perf::scale::{gate_scale, render_scale, run_scale, SCALE_BUDGET_S, SCALE_MIN_K};
 use sor_bench::perf::{
     bench_names, gate, parse_baseline, render_suite_summary, run_suite, suite_to_json,
     trajectory_line, GatePolicy, PerfConfig, BASELINE_FORMAT,
@@ -38,9 +41,13 @@ modes (default: run the suite and print a summary)
   --list                print the suite's bench names and exit
   --scale               time the 6-tree Raecke build on expander:2^k x4 for
                         k = 8..K and print wall, tree nodes, settled
-                        vertices, peak RSS and log-log exponents (not gated);
-                        sizes predicted to take over 60 s are skipped
+                        vertices, peak RSS and log-log exponents; exit 1
+                        when the settled exponent exceeds 1.6 (the wall
+                        exponent is printed, not gated); sizes predicted
+                        to take over 60 s are skipped
   --scale-max K         largest size exponent of --scale, 8..=20 (default 14)
+
+--list and --scale take no suite, gate-policy or output options.
 
 suite
   --quick               CI posture: fewer trials/warmups (same workloads,
@@ -64,12 +71,32 @@ outputs
   --no-trajectory       do not append a trajectory line
 ";
 
+/// The suite, gate-policy and output flags: only the suite-running modes
+/// read them.
+const SUITE_FLAGS: [&str; 13] = [
+    "--quick",
+    "--trials",
+    "--warmup",
+    "--filter",
+    "--baseline",
+    "--tol-work",
+    "--tol-quality",
+    "--wall",
+    "--no-wall",
+    "--report-json",
+    "--report-md",
+    "--trajectory",
+    "--no-trajectory",
+];
+
 struct Args {
     gate: bool,
     write_baseline: bool,
     list: bool,
     scale: bool,
-    scale_max: u32,
+    scale_max: Option<u32>,
+    /// The first of [`SUITE_FLAGS`] given, if any.
+    suite_flag: Option<String>,
     quick: bool,
     trials: Option<usize>,
     warmup: Option<usize>,
@@ -90,7 +117,8 @@ fn parse_args() -> Result<Args, String> {
         write_baseline: false,
         list: false,
         scale: false,
-        scale_max: 14,
+        scale_max: None,
+        suite_flag: None,
         quick: false,
         trials: None,
         warmup: None,
@@ -106,6 +134,9 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
+        if args.suite_flag.is_none() && SUITE_FLAGS.contains(&arg.as_str()) {
+            args.suite_flag = Some(arg.clone());
+        }
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
             "--gate" => args.gate = true,
@@ -113,12 +144,13 @@ fn parse_args() -> Result<Args, String> {
             "--list" => args.list = true,
             "--scale" => args.scale = true,
             "--scale-max" => {
-                args.scale_max = value("--scale-max")?
+                let k = value("--scale-max")?
                     .parse()
                     .map_err(|e| format!("--scale-max: {e}"))?;
-                if !(SCALE_MIN_K..=20).contains(&args.scale_max) {
+                if !(SCALE_MIN_K..=20).contains(&k) {
                     return Err(format!("--scale-max must be in {SCALE_MIN_K}..=20"));
                 }
+                args.scale_max = Some(k);
             }
             "--quick" => args.quick = true,
             "--trials" => {
@@ -160,11 +192,24 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if args.gate && args.write_baseline {
-        return Err("--gate and --write-baseline are mutually exclusive".to_string());
+    let modes: Vec<&str> = [
+        ("--gate", args.gate),
+        ("--write-baseline", args.write_baseline),
+        ("--list", args.list),
+        ("--scale", args.scale),
+    ]
+    .into_iter()
+    .filter_map(|(name, on)| on.then_some(name))
+    .collect();
+    match (modes.as_slice(), &args.suite_flag) {
+        ([a, b, ..], _) => return Err(format!("{a} and {b} are mutually exclusive")),
+        ([mode @ ("--list" | "--scale")], Some(flag)) => {
+            return Err(format!("{flag} has no effect with {mode}"));
+        }
+        _ => {}
     }
-    if args.scale && (args.gate || args.write_baseline) {
-        return Err("--scale does not gate or write a baseline".to_string());
+    if args.scale_max.is_some() && !args.scale {
+        return Err("--scale-max requires --scale".to_string());
     }
     Ok(args)
 }
@@ -206,9 +251,15 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     if args.scale {
-        let rows = run_scale(args.scale_max, SCALE_BUDGET_S);
+        let rows = run_scale(args.scale_max.unwrap_or(14), SCALE_BUDGET_S);
         print!("{}", render_scale(&rows, SCALE_BUDGET_S));
-        return Ok(ExitCode::SUCCESS);
+        let (verdict, pass) = gate_scale(&rows);
+        println!("{verdict}");
+        return Ok(if pass {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        });
     }
 
     let mut cfg = PerfConfig::new(args.quick);

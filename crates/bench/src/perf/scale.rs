@@ -7,8 +7,9 @@
 //! process's peak resident set (`VmHWM` from `/proc/self/status`; sizes
 //! run in increasing order, so each row's high-water mark is that size's).
 //! A least-squares fit of `ln wall` and `ln settled` against `ln n` gives
-//! the scaling exponents. Wall depends on the machine, so nothing here is
-//! gated; `settled` is deterministic.
+//! the scaling exponents. `settled` is deterministic, so its exponent is
+//! gated ([`gate_scale`]); wall depends on the machine and is only
+//! printed.
 //!
 //! A size whose predicted wall exceeds the per-size budget is reported
 //! as skipped, together with every larger size. The prediction is the
@@ -30,6 +31,10 @@ const TREES: usize = 6;
 /// Exponents are fitted over sizes from `2^FIT_MIN_K` up; smaller builds
 /// take a few milliseconds and are dominated by fixed costs.
 const FIT_MIN_K: u32 = 10;
+/// Largest accepted `settled` exponent. The pruned FRT searches read
+/// 1.43–1.48 for any sweep from `2^10` up to `2^12`…`2^16`; searches that
+/// stop pruning read ~2.
+const SETTLED_EXPONENT_MAX: f64 = 1.6;
 
 /// What one measured size cost.
 #[derive(Clone, Debug)]
@@ -177,17 +182,40 @@ pub fn render_scale(rows: &[ScaleRow], budget_s: f64) -> String {
     out
 }
 
+/// The scale gate: a verdict line, and whether the `settled` exponent
+/// stays within [`SETTLED_EXPONENT_MAX`]. A sweep with fewer than two
+/// measured sizes from `2^FIT_MIN_K` up has nothing to fit and passes.
+pub fn gate_scale(rows: &[ScaleRow]) -> (String, bool) {
+    match loglog_slope(rows, |m| m.settled as f64) {
+        Some(e) if e > SETTLED_EXPONENT_MAX => (
+            format!("scale gate: FAIL — settled exponent {e:.2} > {SETTLED_EXPONENT_MAX}"),
+            false,
+        ),
+        Some(e) => (
+            format!("scale gate: PASS — settled exponent {e:.2} <= {SETTLED_EXPONENT_MAX}"),
+            true,
+        ),
+        None => (
+            format!(
+                "scale gate: nothing to fit — fewer than two measured sizes with n >= {}",
+                1u32 << FIT_MIN_K
+            ),
+            true,
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn measured(n: usize, wall_s: f64) -> ScaleRow {
+    fn measured(n: usize, wall_s: f64, settled: u64) -> ScaleRow {
         ScaleRow {
             n,
             result: Ok(ScaleMeasure {
                 wall_s,
                 tree_nodes: 0,
-                settled: (n * n) as u64,
+                settled,
                 vm_hwm_kb: None,
             }),
         }
@@ -195,11 +223,12 @@ mod tests {
 
     #[test]
     fn exponents_fit_a_power_law_and_skips_are_reported() {
+        let square = |n: usize| (n * n) as u64;
         let rows = vec![
-            measured(256, 1.0),
-            measured(1024, 1.0),
-            measured(2048, 8.0),
-            measured(4096, 64.0),
+            measured(256, 1.0, square(256)),
+            measured(1024, 1.0, square(1024)),
+            measured(2048, 8.0, square(2048)),
+            measured(4096, 64.0, square(4096)),
             ScaleRow {
                 n: 8192,
                 result: Err(512.0),
@@ -210,6 +239,21 @@ mod tests {
         let text = render_scale(&rows, 100.0);
         assert!(text.contains("skipped (predicted 512.0 s > budget 100 s)"));
         assert!(text.contains("wall 3.00, settled 2.00"));
+        // settled ∝ n² fails the gate, naming the exponent.
+        let (verdict, pass) = gate_scale(&rows);
+        assert!(!pass);
+        assert_eq!(verdict, "scale gate: FAIL — settled exponent 2.00 > 1.6");
+        // settled ∝ n^1.4 passes: n = 2^(5j) gives settled = 2^(7j) exactly.
+        let rows = vec![
+            measured(1 << 10, 1.0, 1 << 14),
+            measured(1 << 15, 1.0, 1 << 21),
+            measured(1 << 20, 1.0, 1 << 28),
+        ];
+        let (verdict, pass) = gate_scale(&rows);
+        assert!(pass);
+        assert_eq!(verdict, "scale gate: PASS — settled exponent 1.40 <= 1.6");
+        // One fitted size is nothing to gate.
+        assert!(gate_scale(&rows[..1]).1);
     }
 
     #[test]

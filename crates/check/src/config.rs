@@ -2,15 +2,13 @@
 //!
 //! The workspace root carries a `check.toml` naming the scopes of the
 //! rules. The file is parsed with a deliberately tiny TOML subset reader
-//! (sections, `key = value` with string / bool / integer / string-array
-//! values, `#` comments) — the registry is unreachable from CI, so no
-//! `toml` crate. The same reader pulls the `[dependencies]` names out of
-//! each crate's `Cargo.toml` ([`manifest_dependencies`]): the crate
-//! graph is Cargo's, not restated here.
+//! (sections, `key = value` with string / bool / string-array values,
+//! `#` comments) — the registry is unreachable from CI, so no `toml`
+//! crate. An unknown section or key is an error.
 //!
 //! Missing file ⇒ [`Config::default`]: every rule that needs
-//! configuration (panic scope, determinism scope, dead-API scope, hot
-//! entries) is simply skipped.
+//! configuration (panic scope, determinism scope, dead-API scope) is
+//! simply skipped.
 
 use std::path::Path;
 
@@ -42,17 +40,6 @@ pub struct Config {
     /// `[dead-api] crates`: crates whose `pub` items are audited for
     /// having at least one reference from elsewhere in the workspace.
     pub dead_api_crates: Vec<String>,
-    /// `[hotpath] entries`: hot entry points (plain `name` or
-    /// `crate::name`). The hot-path rules walk the dependency-filtered
-    /// call graph from each entry and audit everything reachable for
-    /// allocation and complexity cost. Empty ⇒ the family is skipped.
-    pub hotpath_entries: Vec<String>,
-    /// `[hotpath] alloc_min_depth`: minimum effective loop depth (the
-    /// maximum lexical loop depth along the witness chain, call sites
-    /// included) at which a reachable allocation site becomes an
-    /// `alloc-in-hot` finding. Shallower sites still count in the cost
-    /// report. `None` ⇒ the default of 1.
-    pub hotpath_alloc_min_depth: Option<i64>,
 }
 
 /// A `check.toml` parse failure, with a 1-based line number.
@@ -75,7 +62,6 @@ impl std::fmt::Display for ConfigError {
 enum Value {
     Str(String),
     Bool(bool),
-    Int(i64),
     StrArray(Vec<String>),
 }
 
@@ -173,29 +159,8 @@ impl Config {
                 }
                 _ => err("dead-api.crates must be an array".into()),
             },
-            ("hotpath", "entries") => match value {
-                Value::StrArray(v) => {
-                    self.hotpath_entries = v;
-                    Ok(())
-                }
-                _ => err("hotpath.entries must be an array".into()),
-            },
-            ("hotpath", "alloc_min_depth") => match value {
-                Value::Int(n) if n >= 0 => {
-                    self.hotpath_alloc_min_depth = Some(n);
-                    Ok(())
-                }
-                _ => err("hotpath.alloc_min_depth must be a non-negative integer".into()),
-            },
             _ => err(format!("unknown configuration key [{section}] {key}")),
         }
-    }
-
-    /// Effective `[hotpath] alloc_min_depth` (default 1).
-    pub fn alloc_min_depth(&self) -> usize {
-        self.hotpath_alloc_min_depth
-            .map(|n| usize::try_from(n).unwrap_or(usize::MAX))
-            .unwrap_or(1)
     }
 }
 
@@ -220,8 +185,8 @@ fn unquote(s: &str) -> String {
         .to_string()
 }
 
-/// Parse the value subset: `"str"`, `true`/`false`, integers, and flat
-/// string arrays (which may span only a single line).
+/// Parse the value subset: `"str"`, `true`/`false`, and flat string
+/// arrays (which may span only a single line).
 fn parse_value(s: &str) -> Option<Value> {
     if s == "true" {
         return Some(Value::Bool(true));
@@ -251,28 +216,7 @@ fn parse_value(s: &str) -> Option<Value> {
         }
         return Some(Value::StrArray(items));
     }
-    s.parse::<i64>().ok().map(Value::Int)
-}
-
-/// The package names a Cargo manifest lists under `[dependencies]`:
-/// `sor-graph.workspace = true` and `sor-graph = { path = ".." }` both
-/// name `sor-graph`. Dev-dependencies are left out, because library
-/// code cannot name them.
-pub fn manifest_dependencies(text: &str) -> Vec<String> {
-    let mut section = String::new();
-    let mut out = Vec::new();
-    for raw in text.lines() {
-        let line = strip_toml_comment(raw).trim();
-        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            section = name.trim().to_string();
-        } else if section == "dependencies" {
-            if let Some((key, _)) = line.split_once('=') {
-                let name = key.split('.').next().unwrap_or_default();
-                out.push(unquote(name.trim()));
-            }
-        }
-    }
-    out
+    None
 }
 
 #[cfg(test)]
@@ -301,39 +245,10 @@ crates = ["sor-graph"] # trailing comment
     }
 
     #[test]
-    fn hotpath_section_parses_with_default_depth() {
-        let cfg = Config::parse("[hotpath]\nentries = [\"sample_k\", \"sor-oblivious::build\"]\n")
-            .expect("parse");
-        assert_eq!(
-            cfg.hotpath_entries,
-            vec!["sample_k", "sor-oblivious::build"]
-        );
-        assert_eq!(cfg.alloc_min_depth(), 1);
-        let explicit = Config::parse("[hotpath]\nalloc_min_depth = 2\n").expect("parse");
-        assert_eq!(explicit.alloc_min_depth(), 2);
-        assert!(Config::parse("[hotpath]\nalloc_min_depth = -1\n").is_err());
-    }
-
-    #[test]
     fn panic_index_crates_parse() {
         let cfg = Config::parse("[panics]\nindex_crates = [\"sor-serve\"]\n").expect("parse");
         assert_eq!(cfg.panic_index_crates, vec!["sor-serve"]);
         assert!(!cfg.panic_include_indexing);
-    }
-
-    #[test]
-    fn manifest_dependencies_skip_dev_and_other_sections() {
-        let manifest = "[package]\nname = \"sor-hop\"\nversion.workspace = true\n\n\
-                        [dependencies]\nsor-graph.workspace = true\n\
-                        sor-flow = { path = \"../flow\" } # inline table\n\
-                        \"rand\".workspace = true\n\n\
-                        [dev-dependencies]\nproptest.workspace = true\n\n\
-                        [lints]\nworkspace = true\n";
-        assert_eq!(
-            manifest_dependencies(manifest),
-            vec!["sor-graph", "sor-flow", "rand"]
-        );
-        assert!(manifest_dependencies("[package]\nname = \"x\"\n").is_empty());
     }
 
     #[test]
@@ -344,6 +259,6 @@ crates = ["sor-graph"] # trailing comment
     #[test]
     fn missing_file_is_default() {
         let cfg = Config::load(Path::new("/no/such/dir")).expect("default");
-        assert!(cfg.panic_public_crates.is_empty() && cfg.hotpath_entries.is_empty());
+        assert!(cfg.panic_public_crates.is_empty() && cfg.dead_api_crates.is_empty());
     }
 }

@@ -14,7 +14,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use crate::config::manifest_dependencies;
 use crate::items::{parse_file, ItemKind, SourceFile};
 use crate::strip::Stripper;
 
@@ -26,10 +25,6 @@ pub struct Workspace {
     /// identifier → crates whose code (src, tests, benches, examples)
     /// mentions it.
     pub ident_crates: BTreeMap<String, BTreeSet<String>>,
-    /// crate → the packages its `Cargo.toml` lists under
-    /// `[dependencies]`. A crate without a readable manifest (the test
-    /// fixtures) has no entry.
-    pub deps: BTreeMap<String, Vec<String>>,
 }
 
 /// Read the `name = "..."` of the first `[package]` section of a
@@ -127,12 +122,6 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
         let analyzed = is_analyzed(&rel);
         if !analyzed && !is_corpus(&rel) {
             continue;
-        }
-        if !ws.deps.contains_key(&krate) {
-            let manifest = manifest_of(root, &rel).and_then(|m| std::fs::read_to_string(m).ok());
-            if let Some(text) = manifest {
-                ws.deps.insert(krate.clone(), manifest_dependencies(&text));
-            }
         }
         let text = std::fs::read_to_string(&path)?;
         if analyzed {

@@ -12,15 +12,15 @@
 //!   a public solver-crate function, with a shortest witness chain;
 //! - **the determinism audit** (`unseeded-rng`, `hash-order`): every
 //!   sample is seeded and no hash iteration order leaks into output;
-//! - **API hygiene** (`dead-api`): public items have a user elsewhere;
-//! - **hot-path cost** (`alloc-in-hot`, `clone-in-loop`,
-//!   `growth-without-capacity`, `quadratic-scan`): allocation and
-//!   complexity on the call trees of the configured hot entries.
+//! - **API hygiene** (`dead-api`): public items have a user elsewhere.
+//!
+//! Cost is not a static rule: the `perf` gate pins exact work counters
+//! and the growth exponent of the Räcke set-up (see DESIGN.md).
 //!
 //! This crate is a std-only source scanner (the registry is unreachable
 //! from CI, so no `syn`), run as `cargo run -p sor-check` and from CI;
-//! `check.toml` at the workspace root scopes the rules. It exits non-zero
-//! when a finding is not in `check-baseline.json`.
+//! `check.toml` at the workspace root scopes the rules. Any finding fails
+//! the run.
 //!
 //! # Exceptions
 //!
@@ -35,7 +35,6 @@
 use std::fmt;
 use std::path::Path;
 
-pub mod baseline;
 pub mod config;
 pub mod graph;
 pub mod items;
@@ -44,8 +43,8 @@ pub mod rules;
 mod strip;
 pub use strip::strip_line;
 
-/// An analysis failure that is not a finding: unreadable sources, a
-/// malformed `check.toml`, or a malformed baseline.
+/// An analysis failure that is not a finding: unreadable sources or a
+/// malformed `check.toml`.
 #[derive(Debug)]
 pub enum AnalysisError {
     /// Filesystem error while loading sources.
@@ -79,17 +78,9 @@ impl From<config::ConfigError> for AnalysisError {
 /// sorted by path, line, and rule. `check.toml` at `root` scopes the
 /// rules; without it they are skipped.
 pub fn analyze_workspace(root: &Path) -> Result<Vec<report::Finding>, AnalysisError> {
-    analyze_workspace_with_cost(root).map(|(f, _)| f)
-}
-
-/// Like [`analyze_workspace`], also returning the per-entry hot-path
-/// cost report (empty when `check.toml` has no `[hotpath] entries`).
-pub fn analyze_workspace_with_cost(
-    root: &Path,
-) -> Result<(Vec<report::Finding>, Vec<rules::hotpath::EntryCost>), AnalysisError> {
     let cfg = config::Config::load(root)?;
     let ws = graph::load_workspace(root)?;
-    let (mut findings, cost) = rules::run_semantic_with_cost(&ws, &cfg);
+    let mut findings = rules::run_semantic(&ws, &cfg);
     findings.sort_by(|a, b| {
         a.file
             .cmp(&b.file)
@@ -97,5 +88,5 @@ pub fn analyze_workspace_with_cost(
             .then(a.rule.cmp(&b.rule))
             .then(a.symbol.cmp(&b.symbol))
     });
-    Ok((findings, cost))
+    Ok(findings)
 }

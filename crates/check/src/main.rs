@@ -1,46 +1,30 @@
 //! Driver for the workspace analysis: `cargo run -p sor-check`.
 //!
-//! Runs the item-graph rules (panic reachability, determinism, dead API,
-//! hot-path cost) over the workspace root (or an explicit root passed as
-//! the first positional argument, used by the integration tests to point
-//! at seeded fixtures).
+//! Runs the item-graph rules (panic reachability, determinism, dead API)
+//! over the workspace root (or an explicit root passed as the first
+//! positional argument, used by the integration tests to point at
+//! seeded fixtures).
 //!
 //! ```text
 //! sor-check [ROOT] [--format text|json|sarif] [--output PATH]
-//!           [--baseline PATH] [--no-baseline] [--fail-on-new]
-//!           [--write-baseline PATH] [--hotpath-report PATH]
 //! sor-check --explain <rule>
 //! ```
 //!
-//! `--hotpath-report PATH` writes the per-entry hot-path cost report
-//! (reachable functions, allocation/clone sites, max loop depth, deep
-//! witness groups) as deterministic JSON — the committed
-//! `check-hotpath.json` snapshot CI diffs against. `--explain <rule>`
-//! prints the long-form documentation for one rule id and exits.
-//!
-//! A baseline at `<ROOT>/check-baseline.json` is picked up
-//! automatically (override with `--baseline`, disable with
-//! `--no-baseline`); findings whose fingerprint it contains are
-//! *baselined* and do not fail the run — the gate is regression-only,
-//! which is also what `--fail-on-new` names explicitly. Exit codes:
-//! 0 no new findings, 1 new findings, 2 usage/configuration/IO error.
+//! `--explain <rule>` prints the long-form documentation for one rule id
+//! and exits. Exit codes: 0 no findings, 1 any finding, 2
+//! usage/configuration/IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use sor_check::analyze_workspace;
 use sor_check::report::{explain, render_json, render_sarif, render_text, RULE_DESCRIPTIONS};
-use sor_check::rules::hotpath::{render_cost_json, render_cost_table};
-use sor_check::{analyze_workspace_with_cost, baseline};
 
 /// Parsed command line.
 struct Opts {
     root: PathBuf,
     format: Format,
     output: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: Option<PathBuf>,
-    hotpath_report: Option<PathBuf>,
     explain: Option<String>,
 }
 
@@ -56,10 +40,6 @@ fn parse_args() -> Result<Opts, String> {
         root: workspace_root(),
         format: Format::Text,
         output: None,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: None,
-        hotpath_report: None,
         explain: None,
     };
     let mut args = std::env::args().skip(1);
@@ -79,18 +59,6 @@ fn parse_args() -> Result<Opts, String> {
                 };
             }
             "--output" => opts.output = Some(PathBuf::from(value_of("--output")?)),
-            "--baseline" => opts.baseline = Some(PathBuf::from(value_of("--baseline")?)),
-            "--no-baseline" => opts.no_baseline = true,
-            // The gate is regression-only whenever a baseline is in
-            // effect; the flag exists so CI invocations state the
-            // policy explicitly.
-            "--fail-on-new" => {}
-            "--write-baseline" => {
-                opts.write_baseline = Some(PathBuf::from(value_of("--write-baseline")?));
-            }
-            "--hotpath-report" => {
-                opts.hotpath_report = Some(PathBuf::from(value_of("--hotpath-report")?));
-            }
             "--explain" => opts.explain = Some(value_of("--explain")?),
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             positional => {
@@ -137,7 +105,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let (findings, cost) = match analyze_workspace_with_cost(&opts.root) {
+    let findings = match analyze_workspace(&opts.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sor-check: analysis failed: {e}");
@@ -145,68 +113,10 @@ fn main() -> ExitCode {
         }
     };
 
-    // The cost report is an inventory, not a gate: write it whenever
-    // asked, in every mode, including --write-baseline runs (so CI
-    // regenerates both snapshots from one invocation).
-    if let Some(path) = &opts.hotpath_report {
-        if let Err(e) = std::fs::write(path, render_cost_json(&cost)) {
-            eprintln!(
-                "sor-check: cannot write hot-path report {}: {e}",
-                path.display()
-            );
-            return ExitCode::from(2);
-        }
-    }
-
-    if let Some(path) = &opts.write_baseline {
-        let text = baseline::render(&findings);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("sor-check: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "sor-check: wrote baseline with {} finding(s) to {}",
-            findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline_path = if opts.no_baseline {
-        None
-    } else {
-        Some(
-            opts.baseline
-                .clone()
-                .unwrap_or_else(|| opts.root.join("check-baseline.json")),
-        )
-    };
-    let baseline_set = match &baseline_path {
-        Some(p) => match baseline::load(p) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("sor-check: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => Default::default(),
-    };
-    let (new, baselined) = baseline::partition(findings, &baseline_set);
-
     let rendered = match opts.format {
-        // The cost table rides along in text mode only; json/sarif
-        // stay pure findings documents (the JSON inventory lives
-        // behind --hotpath-report).
-        Format::Text => {
-            let mut s = render_text(&new, baselined.len());
-            if !cost.is_empty() {
-                s.push('\n');
-                s.push_str(&render_cost_table(&cost));
-            }
-            s
-        }
-        Format::Json => render_json(&new, &baselined),
-        Format::Sarif => render_sarif(&new, &baselined),
+        Format::Text => render_text(&findings),
+        Format::Json => render_json(&findings),
+        Format::Sarif => render_sarif(&findings),
     };
     match &opts.output {
         Some(path) => {
@@ -217,13 +127,13 @@ fn main() -> ExitCode {
             // Keep the terminal summary even when the report goes to a
             // file, so CI logs stay readable.
             if opts.format != Format::Text {
-                print!("{}", render_text(&new, baselined.len()));
+                print!("{}", render_text(&findings));
             }
         }
         None => print!("{rendered}"),
     }
 
-    if new.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,10 +1,8 @@
 //! Unified findings and the three output formats.
 //!
-//! Every rule reports a [`Finding`]. A finding carries an optional *witness* — for
-//! panic-reachability, the shortest call chain from the reported public
-//! function to the offending site — and a stable [`Finding::fingerprint`]
-//! that the baseline mechanism keys on (deliberately line-free, so
-//! unrelated edits that shift line numbers do not churn the baseline).
+//! Every rule reports a [`Finding`]. A finding carries an optional
+//! *witness* — for panic-reachability, the shortest call chain from the
+//! reported public function to the offending site.
 //!
 //! Formats: `text` for humans, `json` for scripting, `sarif` (2.1.0)
 //! for code-scanning UIs. All three are hand-rolled writers — the
@@ -15,7 +13,7 @@ use std::path::PathBuf;
 
 /// Identifier and one-line description of every rule, in reporting
 /// order (used for SARIF rule metadata and `--explain`).
-pub const RULE_DESCRIPTIONS: [(&str, &str); 8] = [
+pub const RULE_DESCRIPTIONS: [(&str, &str); 4] = [
     (
         "panic-path",
         "no panic reachable from public solver-crate functions",
@@ -31,22 +29,6 @@ pub const RULE_DESCRIPTIONS: [(&str, &str); 8] = [
     (
         "dead-api",
         "public items are referenced somewhere outside their crate",
-    ),
-    (
-        "alloc-in-hot",
-        "no heap allocation at loop depth >= alloc_min_depth reachable from a hot entry",
-    ),
-    (
-        "clone-in-loop",
-        "no .clone() at effective loop depth >= 1 anywhere in a hot call tree",
-    ),
-    (
-        "growth-without-capacity",
-        "collections grown in a loop are constructed with_capacity",
-    ),
-    (
-        "quadratic-scan",
-        "no linear Vec/slice scans inside a loop over a collection",
     ),
 ];
 
@@ -77,34 +59,6 @@ pub fn explain(id: &str) -> Option<String> {
              their own crate.",
             "[dead-api] crates",
         ),
-        "alloc-in-hot" => (
-            "Walks the dependency-filtered call graph from each [hotpath] entry; every\n\
-             non-clone heap-allocation site (Vec::new, vec![, String::new, Box::new,\n\
-             .collect(), .to_vec(), ...) whose effective loop depth — the maximum\n\
-             lexical loop depth along the shortest witness chain, call sites\n\
-             included — reaches alloc_min_depth is reported. Shallower sites still\n\
-             count in the per-entry cost report (--hotpath-report).",
-            "[hotpath] entries, alloc_min_depth (default 1)",
-        ),
-        "clone-in-loop" => (
-            ".clone() at effective loop depth >= 1 anywhere in a hot tree — a clone\n\
-             per iteration, counting loops across function boundaries. Borrow,\n\
-             std::mem::take, or share via Arc instead.",
-            "[hotpath] entries",
-        ),
-        "growth-without-capacity" => (
-            "Within hot-tree functions: a local built with Vec::new()/vec![]/\n\
-             String::new()/HashMap::new()/... and then .push/.insert/.push_str-ed\n\
-             at a strictly deeper lexical loop depth pays repeated reallocation;\n\
-             construct it with_capacity.",
-            "[hotpath] entries",
-        ),
-        "quadratic-scan" => (
-            "Within hot-tree functions: a for-loop over a Vec/slice whose body runs\n\
-             .contains()/.iter().position()/.iter().find() against the same or a\n\
-             sibling Vec/slice is O(n*m); index into a HashSet/HashMap or sort once.",
-            "[hotpath] entries",
-        ),
         _ => return None,
     };
     let (_, short) = RULE_DESCRIPTIONS.iter().find(|(i, _)| *i == id)?;
@@ -132,20 +86,6 @@ pub struct Finding {
     pub witness: Vec<String>,
 }
 
-impl Finding {
-    /// Baseline key: rule + file + symbol (or the message when the
-    /// finding has no symbol). Line numbers are deliberately excluded so
-    /// the baseline survives unrelated edits above a finding.
-    pub fn fingerprint(&self) -> String {
-        let anchor = if self.symbol.is_empty() {
-            &self.message
-        } else {
-            &self.symbol
-        };
-        format!("{}:{}:{}", self.rule, self.file.display(), anchor)
-    }
-}
-
 impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -163,27 +103,22 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Render the human report: new findings in full, baselined ones as a
-/// single summary count.
-pub fn render_text(new: &[Finding], baselined: usize) -> String {
+/// Render the human report: every finding in full, then a summary line.
+pub fn render_text(findings: &[Finding]) -> String {
     let mut out = String::new();
-    for f in new {
+    for f in findings {
         let _ = writeln!(out, "{f}");
     }
-    if new.is_empty() {
-        let _ = write!(out, "sor-check: clean");
+    if findings.is_empty() {
+        let _ = writeln!(out, "sor-check: clean");
     } else {
-        let _ = write!(out, "sor-check: {} new finding(s)", new.len());
+        let _ = writeln!(out, "sor-check: {} finding(s)", findings.len());
     }
-    if baselined > 0 {
-        let _ = write!(out, " ({baselined} baselined)");
-    }
-    let _ = writeln!(out);
     out
 }
 
 /// Escape a string for a JSON literal.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -225,23 +160,17 @@ fn finding_json(f: &Finding, indent: &str) -> String {
     out
 }
 
-/// Render the machine-readable JSON report (new and baselined findings,
-/// separated).
-pub fn render_json(new: &[Finding], baselined: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"tool\": \"sor-check\",\n  \"new\": [\n");
-    let items: Vec<String> = new.iter().map(|f| finding_json(f, "    ")).collect();
-    out.push_str(&items.join(",\n"));
-    out.push_str("\n  ],\n  \"baselined\": [\n");
-    let items: Vec<String> = baselined.iter().map(|f| finding_json(f, "    ")).collect();
+/// Render the machine-readable JSON report.
+pub fn render_json(findings: &[Finding]) -> String {
+    let mut out = String::from("{\n  \"tool\": \"sor-check\",\n  \"findings\": [\n");
+    let items: Vec<String> = findings.iter().map(|f| finding_json(f, "    ")).collect();
     out.push_str(&items.join(",\n"));
     out.push_str("\n  ]\n}\n");
     out
 }
 
-/// Render a SARIF 2.1.0 log. Baselined findings are included with
-/// `"baselineState": "unchanged"`; new ones with `"new"` — code-scanning
-/// UIs use the distinction the same way `--fail-on-new` does.
-pub fn render_sarif(new: &[Finding], baselined: &[Finding]) -> String {
+/// Render a SARIF 2.1.0 log.
+pub fn render_sarif(findings: &[Finding]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
@@ -264,26 +193,20 @@ pub fn render_sarif(new: &[Finding], baselined: &[Finding]) -> String {
         .collect();
     out.push_str(&rules.join(",\n"));
     out.push_str("\n          ]\n        }\n      },\n      \"results\": [\n");
-    let mut results = Vec::new();
-    for (state, set) in [("new", new), ("unchanged", baselined)] {
-        for f in set {
-            let mut r = String::new();
-            let _ = write!(
-                r,
-                "        {{\"ruleId\": \"{}\", \"level\": \"error\", \"baselineState\": \"{}\", \
-                 \"message\": {{\"text\": \"{}\"}}, \"partialFingerprints\": \
-                 {{\"sorCheck/v1\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": \
+    let results: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            format!(
+                "        {{\"ruleId\": \"{}\", \"level\": \"error\", \
+                 \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": \
                  {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}}}}}}}]}}",
                 json_escape(&f.rule),
-                state,
                 json_escape(&full_message(f)),
-                json_escape(&f.fingerprint()),
                 json_escape(&f.file.display().to_string()),
                 f.line.max(1),
-            );
-            results.push(r);
-        }
-    }
+            )
+        })
+        .collect();
     out.push_str(&results.join(",\n"));
     out.push_str("\n      ]\n    }\n  ]\n}\n");
     out
@@ -316,37 +239,26 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_line_free() {
-        let mut f = sample();
-        let a = f.fingerprint();
-        f.line = 99;
-        assert_eq!(a, f.fingerprint());
-        assert!(a.starts_with("panic-path:"));
-    }
-
-    #[test]
     fn text_report_shows_witness_and_counts() {
-        let text = render_text(&[sample()], 2);
+        let text = render_text(&[sample()]);
         assert!(text.contains("via sor-flow::x::f"), "{text}");
-        assert!(text.contains("1 new finding(s) (2 baselined)"), "{text}");
-        let clean = render_text(&[], 0);
-        assert!(clean.contains("clean"));
+        assert!(text.contains("sor-check: 1 finding(s)"), "{text}");
+        assert_eq!(render_text(&[]), "sor-check: clean\n");
     }
 
     #[test]
     fn json_is_shaped() {
-        let json = render_json(&[sample()], &[]);
+        let json = render_json(&[sample()]);
+        assert!(json.contains("\"findings\": ["));
         assert!(json.contains("\"rule\": \"panic-path\""));
         assert!(json.contains("\"witness\": ["));
-        assert!(json.contains("\"baselined\": ["));
     }
 
     #[test]
-    fn sarif_has_schema_rules_and_states() {
-        let s = render_sarif(&[sample()], &[sample()]);
+    fn sarif_has_schema_rules_and_results() {
+        let s = render_sarif(&[sample()]);
         assert!(s.contains("sarif-2.1.0.json"));
-        assert!(s.contains("\"baselineState\": \"new\""));
-        assert!(s.contains("\"baselineState\": \"unchanged\""));
+        assert!(s.contains("\"ruleId\": \"panic-path\""));
         for (id, _) in RULE_DESCRIPTIONS {
             assert!(s.contains(&format!("\"id\": \"{id}\"")), "{id} missing");
         }

@@ -6,10 +6,6 @@
 //! | `unseeded-rng` | functions constructing an RNG take a seed/`Rng` parameter |
 //! | `hash-order` | no `HashMap`/`HashSet` iteration order observable in sampler/solver code |
 //! | `dead-api` | `pub` items are referenced somewhere outside their own crate |
-//! | `alloc-in-hot` | no deep heap allocation reachable from a hot entry |
-//! | `clone-in-loop` | no `.clone()` at loop depth ≥ 1 in a hot tree |
-//! | `growth-without-capacity` | collections grown in a loop are pre-sized |
-//! | `quadratic-scan` | no linear scans inside a loop over a collection |
 //!
 //! Every rule honors a `sor-check: allow(<id>)` comment on the same line,
 //! the line directly above, or the declaration line of the owning item,
@@ -18,8 +14,7 @@
 //! ignored. `panic-path` also honors the compiler-checked form of the
 //! same exception: a site inside the statement, match arm or item that a
 //! `#[expect(clippy::expect_used | clippy::unwrap_used | clippy::panic,
-//! reason = "…")]` attribute annotates. Anything deliberately tolerated
-//! long-term goes in `check-baseline.json` instead.
+//! reason = "…")]` attribute annotates.
 
 use crate::config::Config;
 use crate::graph::{ItemGraph, Workspace};
@@ -28,34 +23,15 @@ use crate::report::Finding;
 
 pub mod dead_api;
 pub mod determinism;
-pub mod hotpath;
-pub mod hotpath_clone;
-pub mod hotpath_growth;
-pub mod hotpath_scan;
 pub mod panics;
 
 /// Run every rule over a loaded workspace.
 pub fn run_semantic(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    run_semantic_with_cost(ws, cfg).0
-}
-
-/// Like [`run_semantic`], also returning the per-entry hot-path cost
-/// report (empty when `[hotpath] entries` is unconfigured).
-pub fn run_semantic_with_cost(
-    ws: &Workspace,
-    cfg: &Config,
-) -> (Vec<Finding>, Vec<hotpath::EntryCost>) {
     let graph = ItemGraph::build(ws);
-    let hot = hotpath::Hot::build(ws, &graph, cfg);
     let mut out = panics::run(ws, &graph, cfg);
     out.extend(determinism::run(ws, cfg));
     out.extend(dead_api::run(ws, cfg));
-    out.extend(hotpath::run(ws, &graph, &hot, cfg));
-    out.extend(hotpath_clone::run(ws, &graph, &hot, cfg));
-    out.extend(hotpath_growth::run(ws, &graph, &hot, cfg));
-    out.extend(hotpath_scan::run(ws, &graph, &hot, cfg));
-    let cost = hotpath::cost_report(ws, &graph, &hot, cfg);
-    (out, cost)
+    out
 }
 
 /// Parse the `a, b` id list of a `sor-check: allow(a, b)` marker out of

@@ -2,7 +2,7 @@
 // #[cfg(test)], inside a string or comment, or carries a justified
 // exception.
 
-/// Seeded construction is deterministic, and the loop allocates nothing.
+/// Seeded construction is deterministic.
 pub fn seeded_total(seed: u64, n: usize) -> u64 {
     let mut r = StdRng::seed_from_u64(seed);
     let mut total = 0;

@@ -38,13 +38,11 @@
 //! assert!(dist_dilation(&dist) <= r.hop_cap(NodeId(0), NodeId(15)));
 //! ```
 
-use parking_lot::Mutex;
 use rand::Rng;
 use sor_graph::traversal::all_pairs_hops;
 use sor_graph::{dijkstra, Graph, NodeId, Path};
 use sor_oblivious::frt::FrtTree;
-use sor_oblivious::routing::{merge_paths, ObliviousRouting, PathDist};
-use std::collections::HashMap;
+use sor_oblivious::routing::{merge_paths, ObliviousRouting, PathDist, PathDistMemo};
 use std::sync::Arc;
 
 /// Maximum hop length over the support of a path distribution.
@@ -65,7 +63,7 @@ pub struct HopRouting {
     /// ≤ `stretch · max(h, hopdist(s,t))` hops.
     stretch: usize,
     hop_dists: Vec<Vec<u32>>,
-    cache: Mutex<HashMap<(NodeId, NodeId), Arc<PathDist>>>,
+    memo: PathDistMemo,
 }
 
 impl HopRouting {
@@ -113,7 +111,7 @@ impl HopRouting {
             h,
             stretch,
             hop_dists,
-            cache: Mutex::new(HashMap::new()),
+            memo: PathDistMemo::default(),
         }
     }
 
@@ -145,22 +143,19 @@ impl ObliviousRouting for HopRouting {
 
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
         assert!(s != t);
-        if let Some(d) = self.cache.lock().get(&(s, t)) {
-            return Arc::clone(d);
-        }
-        let cap = self.hop_cap(s, t);
-        let w = 1.0 / self.trees.len() as f64;
-        let dist = Arc::new(merge_paths(self.trees.iter().map(|tree| {
-            let p = tree.route(s, t);
-            let p = if p.hops() <= cap {
-                p
-            } else {
-                self.fallback(s, t)
-            };
-            (p, w)
-        })));
-        self.cache.lock().insert((s, t), Arc::clone(&dist));
-        dist
+        self.memo.get_or_compute(s, t, || {
+            let cap = self.hop_cap(s, t);
+            let w = 1.0 / self.trees.len() as f64;
+            merge_paths(self.trees.iter().map(|tree| {
+                let p = tree.route(s, t);
+                let p = if p.hops() <= cap {
+                    p
+                } else {
+                    self.fallback(s, t)
+                };
+                (p, w)
+            }))
+        })
     }
 
     fn name(&self) -> &'static str {

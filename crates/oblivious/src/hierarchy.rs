@@ -13,8 +13,7 @@
 //! Experiment E12 compares the two substrates head to head.
 
 use crate::frt::route_up_down;
-use crate::routing::{merge_paths, ObliviousRouting, PathDist};
-use parking_lot::Mutex;
+use crate::routing::{merge_paths, ObliviousRouting, PathDist, PathDistMemo};
 use rand::Rng;
 use sor_graph::{dijkstra, Graph, NodeId, Path};
 use std::collections::{BTreeMap, HashMap};
@@ -308,7 +307,7 @@ impl SpectralHierarchy {
 pub struct HierRouting {
     g: Graph,
     hierarchies: Vec<SpectralHierarchy>,
-    cache: Mutex<HashMap<(NodeId, NodeId), Arc<PathDist>>>,
+    memo: PathDistMemo,
 }
 
 impl HierRouting {
@@ -338,7 +337,7 @@ impl HierRouting {
         HierRouting {
             g,
             hierarchies,
-            cache: Mutex::new(HashMap::new()),
+            memo: PathDistMemo::default(),
         }
     }
 
@@ -360,15 +359,10 @@ impl ObliviousRouting for HierRouting {
 
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
         assert!(s != t);
-        if let Some(d) = self.cache.lock().get(&(s, t)) {
-            return Arc::clone(d);
-        }
-        let w = 1.0 / self.hierarchies.len() as f64;
-        let dist = Arc::new(merge_paths(
-            self.hierarchies.iter().map(|h| (h.route(s, t), w)),
-        ));
-        self.cache.lock().insert((s, t), Arc::clone(&dist));
-        dist
+        self.memo.get_or_compute(s, t, || {
+            let w = 1.0 / self.hierarchies.len() as f64;
+            merge_paths(self.hierarchies.iter().map(|h| (h.route(s, t), w)))
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -20,11 +20,9 @@
 //! theorems actually consume.
 
 use crate::frt::FrtTree;
-use crate::routing::{merge_paths, ObliviousRouting, PathDist};
-use parking_lot::Mutex;
+use crate::routing::{merge_paths, ObliviousRouting, PathDist, PathDistMemo};
 use rand::Rng;
 use sor_graph::{Graph, NodeId, Path};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tunables of the Räcke MWU loop, exposed for the ablation experiments.
@@ -52,7 +50,7 @@ impl RaeckeConfig {
 pub struct RaeckeRouting {
     g: Graph,
     trees: Vec<FrtTree>,
-    cache: Mutex<HashMap<(NodeId, NodeId), Arc<PathDist>>>,
+    memo: PathDistMemo,
 }
 
 impl RaeckeRouting {
@@ -93,7 +91,7 @@ impl RaeckeRouting {
         RaeckeRouting {
             g,
             trees,
-            cache: Mutex::new(HashMap::new()),
+            memo: PathDistMemo::default(),
         }
     }
 
@@ -115,15 +113,10 @@ impl ObliviousRouting for RaeckeRouting {
 
     fn path_distribution(&self, s: NodeId, t: NodeId) -> Arc<PathDist> {
         assert!(s != t);
-        if let Some(d) = self.cache.lock().get(&(s, t)) {
-            return Arc::clone(d);
-        }
-        let w = 1.0 / self.trees.len() as f64;
-        let dist = Arc::new(merge_paths(
-            self.trees.iter().map(|tree| (tree.route(s, t), w)),
-        ));
-        self.cache.lock().insert((s, t), Arc::clone(&dist));
-        dist
+        self.memo.get_or_compute(s, t, || {
+            let w = 1.0 / self.trees.len() as f64;
+            merge_paths(self.trees.iter().map(|tree| (tree.route(s, t), w)))
+        })
     }
 
     fn sample_path<R: Rng + ?Sized>(&self, s: NodeId, t: NodeId, rng: &mut R) -> Path {

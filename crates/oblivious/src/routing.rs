@@ -3,7 +3,8 @@
 use rand::Rng;
 use sor_flow::{Demand, EdgeLoads};
 use sor_graph::{Graph, NodeId, Path};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A finite distribution over simple `s`-`t` paths; weights are positive
 /// and sum to 1 (within floating-point tolerance).
@@ -44,6 +45,38 @@ pub trait ObliviousRouting {
     }
 }
 
+/// The per-pair memo of a routing that computes distributions lazily:
+/// one shared [`PathDist`] per ordered pair. The lock covers the lookup
+/// and the insert, never the computation, so two threads asking for the
+/// same cold pair may both compute it; `path_distribution` is a pure
+/// function of the pair, so both get the same distribution.
+#[derive(Default)]
+pub struct PathDistMemo(Mutex<HashMap<(NodeId, NodeId), Arc<PathDist>>>);
+
+impl PathDistMemo {
+    /// The distribution of `(s, t)`, computed by `compute` on the first
+    /// request and shared from then on.
+    pub fn get_or_compute(
+        &self,
+        s: NodeId,
+        t: NodeId,
+        compute: impl FnOnce() -> PathDist,
+    ) -> Arc<PathDist> {
+        if let Some(d) = self.map().get(&(s, t)) {
+            return Arc::clone(d);
+        }
+        let dist = Arc::new(compute());
+        self.map().insert((s, t), Arc::clone(&dist));
+        dist
+    }
+
+    /// The map. A panic while the lock is held cannot leave a partial
+    /// entry (entries are inserted whole), so a poisoned lock is reused.
+    fn map(&self) -> MutexGuard<'_, HashMap<(NodeId, NodeId), Arc<PathDist>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Fold weighted draws into a [`PathDist`]: the paths in (node ids, edge
 /// ids) order, each distinct path once, carrying the sum of its draws'
 /// weights in draw order. The edge ids separate parallel-edge paths, so
@@ -69,14 +102,12 @@ pub fn sample_from_dist<R: Rng + ?Sized>(dist: &PathDist, rng: &mut R) -> Path {
     let mut x = rng.gen_range(0.0..total);
     for (p, w) in dist {
         if x < *w {
-            // sor-check: allow(clone-in-loop) — the drawn path is the return value; exactly one clone per call
             return p.clone();
         }
         x -= w;
     }
     // float residue can land `x` past the final bucket; clamp to it
     // (the assert above guarantees the index is valid)
-    // sor-check: allow(clone-in-loop) — the drawn path is the return value; exactly one clone per call
     dist[dist.len() - 1].0.clone()
 }
 

@@ -191,7 +191,6 @@ impl WindowRegistry {
     fn ingest(&self, state: &mut Windows, name: &str, kind: SeriesKind, total: f64) {
         if !state.series.contains_key(name) {
             let series = Series::new(kind, self.capacity);
-            // sor-check: allow(alloc-in-hot) — one key allocation per metric name, first tick only (BTreeMap keys must be owned)
             state.series.insert(name.to_string(), series);
         }
         if let Some(series) = state.series.get_mut(name) {
